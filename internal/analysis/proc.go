@@ -31,11 +31,10 @@ type procAnalysis struct {
 	rep     *Report
 	cost    *ProcCost
 
-	// regLiveIn / slotLiveIn hold the backward may-liveness results:
-	// the registers (frame slots) that some downstream path reads
-	// before overwriting, per pc.
-	regLiveIn  []regset.Set
-	slotLiveIn [][]uint64
+	// liveAfter answers the two liveness questions the waste checks
+	// ask, per pc (indexed pc-start): after a save, is its slot live;
+	// after a restore, is its register live.
+	liveAfter []bool
 
 	// shufflePC marks instructions counted as shuffle data movement,
 	// for the cost scan's attribution.
@@ -72,6 +71,7 @@ func newProcAnalysis(p *vm.Program, cm vm.CostModel, ext verify.ProcExtent, proc
 func (pa *procAnalysis) run() {
 	pa.cost.Analyzed = true
 	pa.cost.Instructions = pa.end - pa.start
+	pa.liveAfter = make([]bool, pa.end-pa.start)
 	pa.regLiveness()
 	pa.slotLiveness()
 	pa.checkSavesAndRestores()
@@ -121,19 +121,17 @@ func (rp regLiveProblem) Transfer(pc int, out regset.Set) regset.Set {
 func (rp regLiveProblem) Eq(a, b regset.Set) bool { return a == b }
 
 // regLiveness computes backward may-liveness of registers over the
-// extent: regLiveIn[pc] holds r iff some path from pc reads r before
-// any instruction defines or destroys it.
+// extent — r is live at pc iff some path from pc reads r before any
+// instruction defines or destroys it — and records, after each
+// restore, whether its register is live.
 func (pa *procAnalysis) regLiveness() {
-	pa.regLiveIn, _ = dataflow.SolveBackward[regset.Set](pa.g, pa.regProblem(), maxPasses)
-}
-
-func (pa *procAnalysis) regProblem() regLiveProblem {
-	return regLiveProblem{g: pa.g, cs: pa.csRegs()}
-}
-
-// regLiveOut reports whether register r is live immediately after pc.
-func (pa *procAnalysis) regLiveOut(pc, r int) bool {
-	return dataflow.MergeOut[regset.Set](pa.g, pa.regProblem(), pa.regLiveIn, pc).Has(r)
+	rp := regLiveProblem{g: pa.g, cs: pa.csRegs()}
+	dataflow.SolveBackward[regset.Set](pa.g, rp, maxPasses).Replay(func(pc int, out regset.Set) regset.Set {
+		if in := pa.p.Code[pc]; in.Op == vm.OpLoadSlot && in.Kind == vm.KindRestore {
+			pa.liveAfter[pc-pa.start] = out.Has(in.A)
+		}
+		return rp.Transfer(pc, out)
+	})
 }
 
 // slotLiveProblem is backward may-liveness of frame slots: reads
@@ -179,21 +177,18 @@ func (sp slotLiveProblem) Eq(a, b []uint64) bool {
 	return true
 }
 
-// slotLiveness computes backward may-liveness of frame slots:
-// slotLiveIn[pc] holds slot s iff some path from pc reads fp[s] before
-// any instruction overwrites it.
+// slotLiveness computes backward may-liveness of frame slots — s is
+// live at pc iff some path from pc reads fp[s] before any instruction
+// overwrites it — and records, after each save, whether its slot is
+// live.
 func (pa *procAnalysis) slotLiveness() {
-	pa.slotLiveIn, _ = dataflow.SolveBackward[[]uint64](pa.g, pa.slotProblem(), maxPasses)
-}
-
-func (pa *procAnalysis) slotProblem() slotLiveProblem {
-	return slotLiveProblem{g: pa.g, frame: pa.frame, words: (pa.frame + 63) / 64}
-}
-
-// slotLiveOut reports whether frame slot s is live immediately after pc.
-func (pa *procAnalysis) slotLiveOut(pc, s int) bool {
-	out := dataflow.MergeOut[[]uint64](pa.g, pa.slotProblem(), pa.slotLiveIn, pc)
-	return out[s/64]&(1<<(s%64)) != 0
+	sp := slotLiveProblem{g: pa.g, frame: pa.frame, words: (pa.frame + 63) / 64}
+	dataflow.SolveBackward[[]uint64](pa.g, sp, maxPasses).Replay(func(pc int, out []uint64) []uint64 {
+		if in := pa.p.Code[pc]; in.Op == vm.OpStoreSlot && in.Kind == vm.KindSave && in.B >= 0 && in.B < pa.frame {
+			pa.liveAfter[pc-pa.start] = out[in.B/64]&(1<<(in.B%64)) != 0
+		}
+		return sp.Transfer(pc, out)
+	})
 }
 
 // checkSavesAndRestores scans the extent for the two liveness-based
@@ -207,7 +202,7 @@ func (pa *procAnalysis) checkSavesAndRestores() {
 			if in.B < 0 || in.B >= pa.frame {
 				continue
 			}
-			if !pa.slotLiveOut(pc, in.B) {
+			if !pa.liveAfter[pc-pa.start] {
 				pa.report(Finding{
 					Kind: RedundantSave, PC: pc, Reg: in.A, Slot: in.B, CallPC: -1, Excess: 1,
 					Msg: fmt.Sprintf("save of r%d into fp[%d] is never read on any path before the slot dies — a lazy save placement would omit it",
@@ -217,7 +212,7 @@ func (pa *procAnalysis) checkSavesAndRestores() {
 			}
 		case in.Op == vm.OpLoadSlot && in.Kind == vm.KindRestore:
 			pa.cost.Restores++
-			if !pa.regLiveOut(pc, in.A) {
+			if !pa.liveAfter[pc-pa.start] {
 				pa.report(Finding{
 					Kind: DeadRestore, PC: pc, Reg: in.A, Slot: in.B, CallPC: -1, Excess: 1,
 					Msg: fmt.Sprintf("restore of r%d from fp[%d] is redefined or destroyed on every path before any read — eager-restore overhead (§3)",

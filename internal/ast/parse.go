@@ -6,30 +6,55 @@ import (
 	"repro/internal/sexp"
 )
 
-// parser carries the mutable state of a parse: the variable counter and
-// gensym counter.
+// parser carries the mutable state of a parse: the variable counter,
+// the gensym counter and the lexical environment.
 type parser struct {
 	nextVar int
 	nextTmp int
+	env     env
 }
 
-// scope is a lexical environment mapping names to bindings.
-type scope struct {
-	parent *scope
-	vars   map[sexp.Symbol]*Var
+// env is a parse's lexical environment. It maps each name to its
+// innermost visible binding, so a lookup is one map probe at any
+// nesting depth. Scopes open and close in LIFO order: a scope's
+// bindings are pushed when it opens, and the bindings they shadowed
+// are restored when it closes.
+type env struct {
+	vars map[sexp.Symbol]*Var
+	// shadowed is the undo log: each bind records the binding it hid
+	// (nil when the name was unbound).
+	shadowed []shadowedVar
 }
 
-func (s *scope) lookup(name sexp.Symbol) *Var {
-	for sc := s; sc != nil; sc = sc.parent {
-		if v, ok := sc.vars[name]; ok {
-			return v
+type shadowedVar struct {
+	name sexp.Symbol
+	prev *Var
+}
+
+func (e *env) lookup(name sexp.Symbol) *Var { return e.vars[name] }
+
+// open starts a scope and returns the mark its close restores to.
+func (e *env) open() int { return len(e.shadowed) }
+
+// bind makes v the innermost binding of name until the current scope
+// closes.
+func (e *env) bind(name sexp.Symbol, v *Var) {
+	e.shadowed = append(e.shadowed, shadowedVar{name: name, prev: e.vars[name]})
+	e.vars[name] = v
+}
+
+// close ends the scope opened at mark, restoring every binding its
+// binds shadowed, innermost first.
+func (e *env) close(mark int) {
+	for i := len(e.shadowed) - 1; i >= mark; i-- {
+		sv := e.shadowed[i]
+		if sv.prev == nil {
+			delete(e.vars, sv.name)
+		} else {
+			e.vars[sv.name] = sv.prev
 		}
 	}
-	return nil
-}
-
-func (s *scope) child() *scope {
-	return &scope{parent: s, vars: map[sexp.Symbol]*Var{}}
+	e.shadowed = e.shadowed[:mark]
 }
 
 func (p *parser) newVar(name sexp.Symbol) *Var {
@@ -47,20 +72,19 @@ func (p *parser) gensym(stem string) sexp.Symbol {
 // become Defs; remaining expressions are sequenced into the body. The
 // value of the last body expression is the program result.
 func ParseProgram(forms []sexp.Datum) (*Program, error) {
-	p := &parser{}
-	top := &scope{vars: map[sexp.Symbol]*Var{}}
+	p := &parser{env: env{vars: map[sexp.Symbol]*Var{}}}
 	prog := &Program{}
 	var body []Expr
 	for _, f := range forms {
 		if name, rhs, ok := splitDefine(f); ok {
-			e, err := p.parse(rhs, top, string(name))
+			e, err := p.parse(rhs, string(name))
 			if err != nil {
 				return nil, err
 			}
 			prog.Defs = append(prog.Defs, Def{Name: name, Rhs: e})
 			continue
 		}
-		e, err := p.parse(f, top, "")
+		e, err := p.parse(f, "")
 		if err != nil {
 			return nil, err
 		}
@@ -122,17 +146,17 @@ func splitDefine(d sexp.Datum) (sexp.Symbol, sexp.Datum, bool) {
 
 // parse converts one datum to core AST. nameHint labels lambdas for
 // profiling output.
-func (p *parser) parse(d sexp.Datum, env *scope, nameHint string) (Expr, error) {
+func (p *parser) parse(d sexp.Datum, nameHint string) (Expr, error) {
 	switch t := d.(type) {
 	case sexp.Fixnum, sexp.Flonum, sexp.Boolean, sexp.Char, sexp.Str:
 		return &Const{Value: t}, nil
 	case sexp.Symbol:
-		if v := env.lookup(t); v != nil {
+		if v := p.env.lookup(t); v != nil {
 			return &Ref{Var: v}, nil
 		}
 		return &GlobalRef{Name: t}, nil
 	case *sexp.Pair:
-		return p.parseForm(t, env, nameHint)
+		return p.parseForm(t, nameHint)
 	case sexp.Empty:
 		return nil, fmt.Errorf("ast: empty application ()")
 	default:
@@ -140,9 +164,9 @@ func (p *parser) parse(d sexp.Datum, env *scope, nameHint string) (Expr, error) 
 	}
 }
 
-func (p *parser) parseForm(form *sexp.Pair, env *scope, nameHint string) (Expr, error) {
+func (p *parser) parseForm(form *sexp.Pair, nameHint string) (Expr, error) {
 	head, isSym := form.Car.(sexp.Symbol)
-	if isSym && env.lookup(head) == nil {
+	if isSym && p.env.lookup(head) == nil {
 		switch head {
 		case "quote":
 			items, err := formItems(form, 2, 2)
@@ -159,23 +183,23 @@ func (p *parser) parseForm(form *sexp.Pair, env *scope, nameHint string) (Expr, 
 			if err != nil {
 				return nil, err
 			}
-			return p.parse(expanded, env, nameHint)
+			return p.parse(expanded, nameHint)
 		case "if":
 			items, err := formItems(form, 3, 4)
 			if err != nil {
 				return nil, err
 			}
-			test, err := p.parse(items[1], env, "")
+			test, err := p.parse(items[1], "")
 			if err != nil {
 				return nil, err
 			}
-			then, err := p.parse(items[2], env, "")
+			then, err := p.parse(items[2], "")
 			if err != nil {
 				return nil, err
 			}
 			var els Expr = Unspecified
 			if len(items) == 4 {
-				if els, err = p.parse(items[3], env, ""); err != nil {
+				if els, err = p.parse(items[3], ""); err != nil {
 					return nil, err
 				}
 			}
@@ -185,15 +209,15 @@ func (p *parser) parseForm(form *sexp.Pair, env *scope, nameHint string) (Expr, 
 			if err != nil {
 				return nil, err
 			}
-			return p.parseBody(items[1:], env)
+			return p.parseBody(items[1:])
 		case "lambda":
-			return p.parseLambda(form, env, nameHint)
+			return p.parseLambda(form, nameHint)
 		case "let":
-			return p.parseLet(form, env, nameHint)
+			return p.parseLet(form, nameHint)
 		case "let*":
-			return p.parseLetStar(form, env, nameHint)
+			return p.parseLetStar(form, nameHint)
 		case "letrec", "letrec*":
-			return p.parseLetrec(form, env, nameHint)
+			return p.parseLetrec(form, nameHint)
 		case "set!":
 			items, err := formItems(form, 3, 3)
 			if err != nil {
@@ -203,11 +227,11 @@ func (p *parser) parseForm(form *sexp.Pair, env *scope, nameHint string) (Expr, 
 			if !ok {
 				return nil, fmt.Errorf("ast: set! target must be a symbol, got %s", items[1])
 			}
-			rhs, err := p.parse(items[2], env, string(name))
+			rhs, err := p.parse(items[2], string(name))
 			if err != nil {
 				return nil, err
 			}
-			if v := env.lookup(name); v != nil {
+			if v := p.env.lookup(name); v != nil {
 				v.Assigned = true
 				return &Set{Var: v, Rhs: rhs}, nil
 			}
@@ -217,19 +241,19 @@ func (p *parser) parseForm(form *sexp.Pair, env *scope, nameHint string) (Expr, 
 			if err != nil {
 				return nil, err
 			}
-			return p.parseAnd(items[1:], env)
+			return p.parseAnd(items[1:])
 		case "or":
 			items, err := formItems(form, 1, -1)
 			if err != nil {
 				return nil, err
 			}
-			return p.parseOr(items[1:], env)
+			return p.parseOr(items[1:])
 		case "not":
 			items, err := formItems(form, 2, 2)
 			if err != nil {
 				return nil, err
 			}
-			e, err := p.parse(items[1], env, "")
+			e, err := p.parse(items[1], "")
 			if err != nil {
 				return nil, err
 			}
@@ -240,11 +264,11 @@ func (p *parser) parseForm(form *sexp.Pair, env *scope, nameHint string) (Expr, 
 			if err != nil {
 				return nil, err
 			}
-			test, err := p.parse(items[1], env, "")
+			test, err := p.parse(items[1], "")
 			if err != nil {
 				return nil, err
 			}
-			body, err := p.parseBody(items[2:], env)
+			body, err := p.parseBody(items[2:])
 			if err != nil {
 				return nil, err
 			}
@@ -254,21 +278,21 @@ func (p *parser) parseForm(form *sexp.Pair, env *scope, nameHint string) (Expr, 
 			if err != nil {
 				return nil, err
 			}
-			test, err := p.parse(items[1], env, "")
+			test, err := p.parse(items[1], "")
 			if err != nil {
 				return nil, err
 			}
-			body, err := p.parseBody(items[2:], env)
+			body, err := p.parseBody(items[2:])
 			if err != nil {
 				return nil, err
 			}
 			return &If{Test: test, Then: Unspecified, Else: body}, nil
 		case "cond":
-			return p.parseCond(form, env)
+			return p.parseCond(form)
 		case "case":
-			return p.parseCase(form, env)
+			return p.parseCase(form)
 		case "do":
-			return p.parseDo(form, env)
+			return p.parseDo(form)
 		case "define":
 			return nil, fmt.Errorf("ast: define is only allowed at top level or at the head of a body")
 		}
@@ -278,13 +302,13 @@ func (p *parser) parseForm(form *sexp.Pair, env *scope, nameHint string) (Expr, 
 	if err != nil {
 		return nil, err
 	}
-	fn, err := p.parse(items[0], env, "")
+	fn, err := p.parse(items[0], "")
 	if err != nil {
 		return nil, err
 	}
 	args := make([]Expr, 0, len(items)-1)
 	for _, a := range items[1:] {
-		e, err := p.parse(a, env, "")
+		e, err := p.parse(a, "")
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +319,7 @@ func (p *parser) parseForm(form *sexp.Pair, env *scope, nameHint string) (Expr, 
 
 // parseBody handles internal defines at the head of a body by rewriting
 // them into a letrec*, then sequences the remaining expressions.
-func (p *parser) parseBody(forms []sexp.Datum, env *scope) (Expr, error) {
+func (p *parser) parseBody(forms []sexp.Datum) (Expr, error) {
 	var names []sexp.Symbol
 	var rhss []sexp.Datum
 	i := 0
@@ -312,24 +336,25 @@ func (p *parser) parseBody(forms []sexp.Datum, env *scope) (Expr, error) {
 		if len(rest) == 0 {
 			return nil, fmt.Errorf("ast: body consists only of definitions")
 		}
-		inner := env.child()
+		mark := p.env.open()
 		vars := make([]*Var, len(names))
 		for j, n := range names {
 			vars[j] = p.newVar(n)
-			inner.vars[n] = vars[j]
+			p.env.bind(n, vars[j])
 		}
 		inits := make([]Expr, len(rhss))
 		for j, r := range rhss {
-			e, err := p.parse(r, inner, string(names[j]))
+			e, err := p.parse(r, string(names[j]))
 			if err != nil {
 				return nil, err
 			}
 			inits[j] = e
 		}
-		body, err := p.parseBody(rest, inner)
+		body, err := p.parseBody(rest)
 		if err != nil {
 			return nil, err
 		}
+		p.env.close(mark)
 		return &Letrec{Vars: vars, Inits: inits, Body: body}, nil
 	}
 	if len(rest) == 0 {
@@ -337,7 +362,7 @@ func (p *parser) parseBody(forms []sexp.Datum, env *scope) (Expr, error) {
 	}
 	exprs := make([]Expr, 0, len(rest))
 	for _, f := range rest {
-		e, err := p.parse(f, env, "")
+		e, err := p.parse(f, "")
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +374,7 @@ func (p *parser) parseBody(forms []sexp.Datum, env *scope) (Expr, error) {
 	return &Begin{Exprs: exprs}, nil
 }
 
-func (p *parser) parseLambda(form *sexp.Pair, env *scope, nameHint string) (Expr, error) {
+func (p *parser) parseLambda(form *sexp.Pair, nameHint string) (Expr, error) {
 	items, err := formItems(form, 3, -1)
 	if err != nil {
 		return nil, err
@@ -358,7 +383,7 @@ func (p *parser) parseLambda(form *sexp.Pair, env *scope, nameHint string) (Expr
 	if err != nil {
 		return nil, fmt.Errorf("ast: lambda formals must be a proper list (variadic procedures are not supported): %s", items[1])
 	}
-	inner := env.child()
+	mark := p.env.open()
 	params := make([]*Var, len(formals))
 	for i, f := range formals {
 		name, ok := f.(sexp.Symbol)
@@ -366,12 +391,13 @@ func (p *parser) parseLambda(form *sexp.Pair, env *scope, nameHint string) (Expr
 			return nil, fmt.Errorf("ast: lambda formal must be a symbol, got %s", f)
 		}
 		params[i] = p.newVar(name)
-		inner.vars[name] = params[i]
+		p.env.bind(name, params[i])
 	}
-	body, err := p.parseBody(items[2:], inner)
+	body, err := p.parseBody(items[2:])
 	if err != nil {
 		return nil, err
 	}
+	p.env.close(mark)
 	if nameHint == "" {
 		nameHint = "anon"
 	}
@@ -379,32 +405,33 @@ func (p *parser) parseLambda(form *sexp.Pair, env *scope, nameHint string) (Expr
 }
 
 // parseLet handles both ordinary and named let.
-func (p *parser) parseLet(form *sexp.Pair, env *scope, nameHint string) (Expr, error) {
+func (p *parser) parseLet(form *sexp.Pair, nameHint string) (Expr, error) {
 	items, err := formItems(form, 3, -1)
 	if err != nil {
 		return nil, err
 	}
 	if loopName, ok := items[1].(sexp.Symbol); ok {
-		return p.parseNamedLet(loopName, items[2:], env)
+		return p.parseNamedLet(loopName, items[2:])
 	}
-	names, inits, err := p.parseBindings(items[1], env)
+	names, inits, err := p.parseBindings(items[1])
 	if err != nil {
 		return nil, err
 	}
-	inner := env.child()
+	mark := p.env.open()
 	vars := make([]*Var, len(names))
 	for i, n := range names {
 		vars[i] = p.newVar(n)
-		inner.vars[n] = vars[i]
+		p.env.bind(n, vars[i])
 	}
-	body, err := p.parseBody(items[2:], inner)
+	body, err := p.parseBody(items[2:])
 	if err != nil {
 		return nil, err
 	}
+	p.env.close(mark)
 	return &Let{Vars: vars, Inits: inits, Body: body}, nil
 }
 
-func (p *parser) parseBindings(d sexp.Datum, env *scope) ([]sexp.Symbol, []Expr, error) {
+func (p *parser) parseBindings(d sexp.Datum) ([]sexp.Symbol, []Expr, error) {
 	bindings, err := sexp.ListItems(d)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ast: malformed bindings %s", d)
@@ -421,7 +448,7 @@ func (p *parser) parseBindings(d sexp.Datum, env *scope) ([]sexp.Symbol, []Expr,
 			return nil, nil, fmt.Errorf("ast: binding name must be a symbol: %s", b)
 		}
 		names[i] = name
-		init, err := p.parse(pair[1], env, string(name))
+		init, err := p.parse(pair[1], string(name))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -432,27 +459,27 @@ func (p *parser) parseBindings(d sexp.Datum, env *scope) ([]sexp.Symbol, []Expr,
 
 // parseNamedLet expands (let loop ([x e] ...) body) into
 // (letrec ([loop (lambda (x ...) body)]) (loop e ...)).
-func (p *parser) parseNamedLet(loopName sexp.Symbol, rest []sexp.Datum, env *scope) (Expr, error) {
+func (p *parser) parseNamedLet(loopName sexp.Symbol, rest []sexp.Datum) (Expr, error) {
 	if len(rest) < 2 {
 		return nil, fmt.Errorf("ast: malformed named let %s", loopName)
 	}
-	names, inits, err := p.parseBindings(rest[0], env)
+	names, inits, err := p.parseBindings(rest[0])
 	if err != nil {
 		return nil, err
 	}
-	outer := env.child()
+	mark := p.env.open()
 	loopVar := p.newVar(loopName)
-	outer.vars[loopName] = loopVar
-	inner := outer.child()
+	p.env.bind(loopName, loopVar)
 	params := make([]*Var, len(names))
 	for i, n := range names {
 		params[i] = p.newVar(n)
-		inner.vars[n] = params[i]
+		p.env.bind(n, params[i])
 	}
-	body, err := p.parseBody(rest[1:], inner)
+	body, err := p.parseBody(rest[1:])
 	if err != nil {
 		return nil, err
 	}
+	p.env.close(mark)
 	lam := &Lambda{Params: params, Body: body, Name: string(loopName)}
 	callArgs := make([]Expr, len(inits))
 	copy(callArgs, inits)
@@ -463,7 +490,7 @@ func (p *parser) parseNamedLet(loopName sexp.Symbol, rest []sexp.Datum, env *sco
 	}, nil
 }
 
-func (p *parser) parseLetStar(form *sexp.Pair, env *scope, nameHint string) (Expr, error) {
+func (p *parser) parseLetStar(form *sexp.Pair, nameHint string) (Expr, error) {
 	items, err := formItems(form, 3, -1)
 	if err != nil {
 		return nil, err
@@ -472,12 +499,12 @@ func (p *parser) parseLetStar(form *sexp.Pair, env *scope, nameHint string) (Exp
 	if err != nil {
 		return nil, fmt.Errorf("ast: malformed let* bindings")
 	}
-	return p.parseLetStarLoop(bindings, items[2:], env)
+	return p.parseLetStarLoop(bindings, items[2:])
 }
 
-func (p *parser) parseLetStarLoop(bindings []sexp.Datum, body []sexp.Datum, env *scope) (Expr, error) {
+func (p *parser) parseLetStarLoop(bindings []sexp.Datum, body []sexp.Datum) (Expr, error) {
 	if len(bindings) == 0 {
-		return p.parseBody(body, env)
+		return p.parseBody(body)
 	}
 	pair, err := sexp.ListItems(bindings[0])
 	if err != nil || len(pair) != 2 {
@@ -487,21 +514,22 @@ func (p *parser) parseLetStarLoop(bindings []sexp.Datum, body []sexp.Datum, env 
 	if !ok {
 		return nil, fmt.Errorf("ast: binding name must be a symbol: %s", bindings[0])
 	}
-	init, err := p.parse(pair[1], env, string(name))
+	init, err := p.parse(pair[1], string(name))
 	if err != nil {
 		return nil, err
 	}
-	inner := env.child()
+	mark := p.env.open()
 	v := p.newVar(name)
-	inner.vars[name] = v
-	rest, err := p.parseLetStarLoop(bindings[1:], body, inner)
+	p.env.bind(name, v)
+	rest, err := p.parseLetStarLoop(bindings[1:], body)
 	if err != nil {
 		return nil, err
 	}
+	p.env.close(mark)
 	return &Let{Vars: []*Var{v}, Inits: []Expr{init}, Body: rest}, nil
 }
 
-func (p *parser) parseLetrec(form *sexp.Pair, env *scope, nameHint string) (Expr, error) {
+func (p *parser) parseLetrec(form *sexp.Pair, nameHint string) (Expr, error) {
 	items, err := formItems(form, 3, -1)
 	if err != nil {
 		return nil, err
@@ -510,7 +538,7 @@ func (p *parser) parseLetrec(form *sexp.Pair, env *scope, nameHint string) (Expr
 	if err != nil {
 		return nil, fmt.Errorf("ast: malformed letrec bindings")
 	}
-	inner := env.child()
+	mark := p.env.open()
 	vars := make([]*Var, len(bindings))
 	rhss := make([]sexp.Datum, len(bindings))
 	for i, b := range bindings {
@@ -523,37 +551,38 @@ func (p *parser) parseLetrec(form *sexp.Pair, env *scope, nameHint string) (Expr
 			return nil, fmt.Errorf("ast: binding name must be a symbol: %s", b)
 		}
 		vars[i] = p.newVar(name)
-		inner.vars[name] = vars[i]
+		p.env.bind(name, vars[i])
 		rhss[i] = pair[1]
 	}
 	inits := make([]Expr, len(vars))
 	for i, r := range rhss {
-		e, err := p.parse(r, inner, string(vars[i].Name))
+		e, err := p.parse(r, string(vars[i].Name))
 		if err != nil {
 			return nil, err
 		}
 		inits[i] = e
 	}
-	body, err := p.parseBody(items[2:], inner)
+	body, err := p.parseBody(items[2:])
 	if err != nil {
 		return nil, err
 	}
+	p.env.close(mark)
 	return &Letrec{Vars: vars, Inits: inits, Body: body}, nil
 }
 
 // parseAnd expands (and ...) into nested ifs, per Figure 1.
-func (p *parser) parseAnd(args []sexp.Datum, env *scope) (Expr, error) {
+func (p *parser) parseAnd(args []sexp.Datum) (Expr, error) {
 	if len(args) == 0 {
 		return True, nil
 	}
-	first, err := p.parse(args[0], env, "")
+	first, err := p.parse(args[0], "")
 	if err != nil {
 		return nil, err
 	}
 	if len(args) == 1 {
 		return first, nil
 	}
-	rest, err := p.parseAnd(args[1:], env)
+	rest, err := p.parseAnd(args[1:])
 	if err != nil {
 		return nil, err
 	}
@@ -563,18 +592,18 @@ func (p *parser) parseAnd(args []sexp.Datum, env *scope) (Expr, error) {
 // parseOr expands (or e1 e2 ...) into (let ([t e1]) (if t t (or e2 ...)))
 // so that e1 is evaluated once, per Figure 1's (if E1 true E2) modulo the
 // usual value-preserving temporary.
-func (p *parser) parseOr(args []sexp.Datum, env *scope) (Expr, error) {
+func (p *parser) parseOr(args []sexp.Datum) (Expr, error) {
 	if len(args) == 0 {
 		return False, nil
 	}
-	first, err := p.parse(args[0], env, "")
+	first, err := p.parse(args[0], "")
 	if err != nil {
 		return nil, err
 	}
 	if len(args) == 1 {
 		return first, nil
 	}
-	rest, err := p.parseOr(args[1:], env)
+	rest, err := p.parseOr(args[1:])
 	if err != nil {
 		return nil, err
 	}
@@ -586,15 +615,15 @@ func (p *parser) parseOr(args []sexp.Datum, env *scope) (Expr, error) {
 	}, nil
 }
 
-func (p *parser) parseCond(form *sexp.Pair, env *scope) (Expr, error) {
+func (p *parser) parseCond(form *sexp.Pair) (Expr, error) {
 	items, err := formItems(form, 2, -1)
 	if err != nil {
 		return nil, err
 	}
-	return p.parseCondClauses(items[1:], env)
+	return p.parseCondClauses(items[1:])
 }
 
-func (p *parser) parseCondClauses(clauses []sexp.Datum, env *scope) (Expr, error) {
+func (p *parser) parseCondClauses(clauses []sexp.Datum) (Expr, error) {
 	if len(clauses) == 0 {
 		return Unspecified, nil
 	}
@@ -606,13 +635,13 @@ func (p *parser) parseCondClauses(clauses []sexp.Datum, env *scope) (Expr, error
 		if len(clauses) != 1 {
 			return nil, fmt.Errorf("ast: cond else clause must be last")
 		}
-		return p.parseBody(clause[1:], env)
+		return p.parseBody(clause[1:])
 	}
-	test, err := p.parse(clause[0], env, "")
+	test, err := p.parse(clause[0], "")
 	if err != nil {
 		return nil, err
 	}
-	rest, err := p.parseCondClauses(clauses[1:], env)
+	rest, err := p.parseCondClauses(clauses[1:])
 	if err != nil {
 		return nil, err
 	}
@@ -627,7 +656,7 @@ func (p *parser) parseCondClauses(clauses []sexp.Datum, env *scope) (Expr, error
 	}
 	if len(clause) == 3 && clause[1] == sexp.Symbol("=>") {
 		tmp := p.newVar(p.gensym("cond"))
-		recv, err := p.parse(clause[2], env, "")
+		recv, err := p.parse(clause[2], "")
 		if err != nil {
 			return nil, err
 		}
@@ -641,7 +670,7 @@ func (p *parser) parseCondClauses(clauses []sexp.Datum, env *scope) (Expr, error
 			},
 		}, nil
 	}
-	then, err := p.parseBody(clause[1:], env)
+	then, err := p.parseBody(clause[1:])
 	if err != nil {
 		return nil, err
 	}
@@ -649,25 +678,26 @@ func (p *parser) parseCondClauses(clauses []sexp.Datum, env *scope) (Expr, error
 }
 
 // parseCase expands case into a let-bound key and a chain of memv tests.
-func (p *parser) parseCase(form *sexp.Pair, env *scope) (Expr, error) {
+func (p *parser) parseCase(form *sexp.Pair) (Expr, error) {
 	items, err := formItems(form, 3, -1)
 	if err != nil {
 		return nil, err
 	}
-	key, err := p.parse(items[1], env, "")
+	key, err := p.parse(items[1], "")
 	if err != nil {
 		return nil, err
 	}
 	tmp := p.newVar(p.gensym("case"))
-	inner := env.child() // tmp is hidden from user code (gensym name)
-	body, err := p.parseCaseClauses(items[2:], tmp, inner)
+	// tmp is never bound in the environment: it is hidden from user
+	// code, and the clauses reference it directly.
+	body, err := p.parseCaseClauses(items[2:], tmp)
 	if err != nil {
 		return nil, err
 	}
 	return &Let{Vars: []*Var{tmp}, Inits: []Expr{key}, Body: body}, nil
 }
 
-func (p *parser) parseCaseClauses(clauses []sexp.Datum, key *Var, env *scope) (Expr, error) {
+func (p *parser) parseCaseClauses(clauses []sexp.Datum, key *Var) (Expr, error) {
 	if len(clauses) == 0 {
 		return Unspecified, nil
 	}
@@ -679,17 +709,17 @@ func (p *parser) parseCaseClauses(clauses []sexp.Datum, key *Var, env *scope) (E
 		if len(clauses) != 1 {
 			return nil, fmt.Errorf("ast: case else clause must be last")
 		}
-		return p.parseBody(clause[1:], env)
+		return p.parseBody(clause[1:])
 	}
 	data, err := sexp.ListItems(clause[0])
 	if err != nil {
 		return nil, fmt.Errorf("ast: malformed case datum list %s", clause[0])
 	}
-	then, err := p.parseBody(clause[1:], env)
+	then, err := p.parseBody(clause[1:])
 	if err != nil {
 		return nil, err
 	}
-	rest, err := p.parseCaseClauses(clauses[1:], key, env)
+	rest, err := p.parseCaseClauses(clauses[1:], key)
 	if err != nil {
 		return nil, err
 	}
@@ -702,7 +732,7 @@ func (p *parser) parseCaseClauses(clauses []sexp.Datum, key *Var, env *scope) (E
 
 // parseDo expands (do ([v init step] ...) (test result ...) body ...)
 // into a named-let loop.
-func (p *parser) parseDo(form *sexp.Pair, env *scope) (Expr, error) {
+func (p *parser) parseDo(form *sexp.Pair) (Expr, error) {
 	items, err := formItems(form, 3, -1)
 	if err != nil {
 		return nil, err
@@ -716,12 +746,11 @@ func (p *parser) parseDo(form *sexp.Pair, env *scope) (Expr, error) {
 		return nil, fmt.Errorf("ast: malformed do exit clause")
 	}
 
+	// The inits are parsed in the enclosing scope before the loop's
+	// scope opens, so scopes nest; the loop variable and the bindings
+	// are still numbered in source order.
 	loopSym := p.gensym("do")
-	outer := env.child()
 	loopVar := p.newVar(loopSym)
-	outer.vars[loopSym] = loopVar
-
-	inner := outer.child()
 	vars := make([]*Var, len(specs))
 	inits := make([]Expr, len(specs))
 	steps := make([]sexp.Datum, len(specs))
@@ -734,11 +763,10 @@ func (p *parser) parseDo(form *sexp.Pair, env *scope) (Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("ast: do binding name must be a symbol: %s", s)
 		}
-		if inits[i], err = p.parse(parts[1], env, string(name)); err != nil {
+		if inits[i], err = p.parse(parts[1], string(name)); err != nil {
 			return nil, err
 		}
 		vars[i] = p.newVar(name)
-		inner.vars[name] = vars[i]
 		if len(parts) == 3 {
 			steps[i] = parts[2]
 		} else {
@@ -746,19 +774,24 @@ func (p *parser) parseDo(form *sexp.Pair, env *scope) (Expr, error) {
 		}
 	}
 
-	test, err := p.parse(exit[0], inner, "")
+	mark := p.env.open()
+	p.env.bind(loopSym, loopVar)
+	for _, v := range vars {
+		p.env.bind(v.Name, v)
+	}
+	test, err := p.parse(exit[0], "")
 	if err != nil {
 		return nil, err
 	}
 	var result Expr = Unspecified
 	if len(exit) > 1 {
-		if result, err = p.parseBody(exit[1:], inner); err != nil {
+		if result, err = p.parseBody(exit[1:]); err != nil {
 			return nil, err
 		}
 	}
 	var bodyExprs []Expr
 	for _, b := range items[3:] {
-		e, err := p.parse(b, inner, "")
+		e, err := p.parse(b, "")
 		if err != nil {
 			return nil, err
 		}
@@ -766,12 +799,13 @@ func (p *parser) parseDo(form *sexp.Pair, env *scope) (Expr, error) {
 	}
 	stepArgs := make([]Expr, len(steps))
 	for i, s := range steps {
-		e, err := p.parse(s, inner, "")
+		e, err := p.parse(s, "")
 		if err != nil {
 			return nil, err
 		}
 		stepArgs[i] = e
 	}
+	p.env.close(mark)
 	again := &Call{Fn: &Ref{Var: loopVar}, Args: stepArgs}
 	var loopBody Expr
 	if len(bodyExprs) == 0 {

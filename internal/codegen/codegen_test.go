@@ -312,11 +312,10 @@ func TestSlotReads(t *testing.T) {
 	slotVar := &ir.Var{Name: "s", Loc: ir.Loc{Kind: ir.LocSlot, Index: 2}, SaveSlot: -1, CSReg: -1}
 	regVar := &ir.Var{Name: "r", Loc: ir.Loc{Kind: ir.LocReg, Index: 5}, SaveSlot: -1, CSReg: -1}
 	e := ir.Expr(&ir.PrimCall{Args: []ir.Expr{&ir.VarRef{Var: slotVar}, &ir.VarRef{Var: regVar}}})
-	if !slotReads(e, 2) {
-		t.Error("should read slot 2")
-	}
-	if slotReads(e, 3) {
-		t.Error("should not read slot 3")
+	var read []int
+	slotsRead(e, func(k int) { read = append(read, k) })
+	if len(read) != 1 || read[0] != 2 {
+		t.Errorf("slots read %v, want only slot 2", read)
 	}
 }
 

@@ -795,6 +795,10 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 			planHasCall = true
 		}
 	}
+	var readers tailSlotReaders
+	if effTail && nStackArgs > 0 {
+		readers = em.tailSlotReaders(t)
+	}
 	stackTemps := map[int]int{}
 	for i := cfg.ArgRegs; i < len(t.Args); i++ {
 		if ir.HasCalls(t.Args[i]) {
@@ -809,7 +813,7 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 			continue
 		}
 		k := i - cfg.ArgRegs
-		if em.stackArgDirect(t, i, k, effTail, planHasCall) {
+		if em.stackArgDirect(i, k, effTail, planHasCall, readers) {
 			r, release := em.operandReg(t.Args[i])
 			if effTail {
 				cg.emit(vm.Instr{Op: vm.OpStoreSlot, A: r, B: k, Kind: vm.KindArg})
@@ -979,93 +983,101 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 // a nested frame over it. For tail calls the target overlaps our own
 // frame: the slot must lie within the incoming-parameter area (below the
 // local/save/temp slots a nested call's restores might read) and must
-// not be read by anything evaluated later.
-func (em *emitter) stackArgDirect(t *ir.Call, i, k int, effTail, planHasCall bool) bool {
+// not be read by anything evaluated later, which readers answers.
+func (em *emitter) stackArgDirect(i, k int, effTail, planHasCall bool, readers tailSlotReaders) bool {
 	if !effTail {
 		return !planHasCall
 	}
 	if k >= em.stackParams {
 		return false
 	}
+	last, read := readers.lastArg[k]
+	return (!read || last <= i) && !readers.plan[k]
+}
+
+// tailSlotReaders indexes, once per tail call, what is evaluated after
+// each stack argument is stored: lastArg[k] is the last simple stack
+// argument that reads frame slot k, and plan[k] whether an expression
+// of the register shuffle plan reads it. Only incoming-parameter slots
+// are indexed.
+type tailSlotReaders struct {
+	lastArg map[int]int
+	plan    map[int]bool
+}
+
+func (em *emitter) tailSlotReaders(t *ir.Call) tailSlotReaders {
+	r := tailSlotReaders{lastArg: map[int]int{}, plan: map[int]bool{}}
 	cfg := em.cfg
-	for j := i + 1; j < len(t.Args); j++ {
-		if j >= cfg.ArgRegs && !ir.HasCalls(t.Args[j]) && slotReads(t.Args[j], k) {
-			return false
+	for j := cfg.ArgRegs; j < len(t.Args); j++ {
+		if !ir.HasCalls(t.Args[j]) {
+			slotsRead(t.Args[j], func(k int) {
+				if k < em.stackParams {
+					r.lastArg[k] = j
+				}
+			})
 		}
 	}
 	// Plan step indices range over the register arguments followed by
 	// the operator.
 	nreg := min(len(t.Args), cfg.ArgRegs)
 	for _, step := range t.Plan.Steps {
-		var expr ir.Expr
+		expr := t.Fn
 		if step.Arg < nreg {
 			expr = t.Args[step.Arg]
-		} else {
-			expr = t.Fn
 		}
-		if slotReads(expr, k) {
-			return false
-		}
+		slotsRead(expr, func(k int) {
+			if k < em.stackParams {
+				r.plan[k] = true
+			}
+		})
 	}
-	return true
+	return r
 }
 
-// slotReads reports whether evaluating e may read frame slot k (a
-// slot-homed variable access).
-func slotReads(e ir.Expr, k int) bool {
+// slotsRead calls visit with every frame slot that evaluating e may
+// read (a slot-homed variable access).
+func slotsRead(e ir.Expr, visit func(k int)) {
 	switch t := e.(type) {
 	case *ir.Const, *ir.GlobalRef, *ir.FreeRef:
-		return false
 	case *ir.VarRef:
-		return t.Var.Loc.Kind == ir.LocSlot && t.Var.Loc.Index == k
+		if t.Var.Loc.Kind == ir.LocSlot {
+			visit(t.Var.Loc.Index)
+		}
 	case *ir.GlobalSet:
-		return slotReads(t.Rhs, k)
+		slotsRead(t.Rhs, visit)
 	case *ir.If:
-		return slotReads(t.Test, k) || slotReads(t.Then, k) || slotReads(t.Else, k)
+		slotsRead(t.Test, visit)
+		slotsRead(t.Then, visit)
+		slotsRead(t.Else, visit)
 	case *ir.Seq:
 		for _, x := range t.Exprs {
-			if slotReads(x, k) {
-				return true
-			}
+			slotsRead(x, visit)
 		}
-		return false
 	case *ir.Bind:
-		return slotReads(t.Rhs, k) || slotReads(t.Body, k)
+		slotsRead(t.Rhs, visit)
+		slotsRead(t.Body, visit)
 	case *ir.PrimCall:
 		for _, x := range t.Args {
-			if slotReads(x, k) {
-				return true
-			}
+			slotsRead(x, visit)
 		}
-		return false
 	case *ir.Call:
-		if slotReads(t.Fn, k) {
-			return true
-		}
+		slotsRead(t.Fn, visit)
 		for _, x := range t.Args {
-			if slotReads(x, k) {
-				return true
-			}
+			slotsRead(x, visit)
 		}
-		return false
 	case *ir.MakeClosure:
 		for _, x := range t.Free {
-			if slotReads(x, k) {
-				return true
-			}
+			slotsRead(x, visit)
 		}
-		return false
 	case *ir.Fix:
 		for _, c := range t.Closures {
-			if slotReads(c, k) {
-				return true
-			}
+			slotsRead(c, visit)
 		}
-		return slotReads(t.Body, k)
+		slotsRead(t.Body, visit)
 	case *ir.Save:
-		return slotReads(t.Body, k)
+		slotsRead(t.Body, visit)
 	default:
-		panic(fmt.Sprintf("codegen: slotReads: unknown expression %T", e))
+		panic(fmt.Sprintf("codegen: slotsRead: unknown expression %T", e))
 	}
 }
 

@@ -539,8 +539,7 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 			}
 		}
 	}
-	var mainIn []taintState
-	var mainReached []bool
+	var mainSol *Forward[taintState]
 	mainExt := -1
 	for round := 0; round < DefaultMaxPasses; round++ {
 		changed := false
@@ -549,22 +548,19 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 			if g == nil {
 				continue
 			}
-			in, reached, _ := SolveForward[taintState](g, problems[i], DefaultMaxPasses)
-			if problems[i].isMain {
-				mainIn, mainReached, mainExt = in, reached, i
+			tp := problems[i]
+			sol := SolveForward[taintState](g, tp, DefaultMaxPasses)
+			if tp.isMain {
+				mainSol, mainExt = sol, i
 			}
-			for pc := g.Start(); pc < g.End(); pc++ {
-				if !reached[pc-g.Start()] {
-					continue
-				}
+			sol.Replay(func(pc int, s taintState) taintState {
 				instr := p.Code[pc]
 				if instr.Op != vm.OpStoreGlobal || instr.B < 0 || instr.B >= len(gArena) {
-					continue
+					return tp.Transfer(pc, s)
 				}
-				tp := problems[i]
 				// Taint of the stored register AFTER the instructions
 				// before the store ran: the in-state at the store.
-				a, c := tp.taintAt(in[pc-g.Start()], instr.A)
+				a, c := tp.taintAt(s, instr.A)
 				if a && !gArena[instr.B] {
 					gArena[instr.B] = true
 					changed = true
@@ -573,7 +569,8 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 					gConst[instr.B] = true
 					changed = true
 				}
-			}
+				return tp.Transfer(pc, s)
+			})
 		}
 		if mutHazard {
 			for gi := range gArena {
@@ -617,7 +614,7 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 	if mainExt >= 0 {
 		g := cg.Graphs[mainExt]
 		words := (len(p.GlobalNames) + 63) / 64
-		stored, _, _ := SolveForward[[]uint64](g, mustStoredProblem{p: p, words: words}, DefaultMaxPasses)
+		msp := mustStoredProblem{p: p, words: words}
 		readSums := globalReadSummaries(cg)
 		full := make([]uint64, words)
 		for gi := range p.GlobalNames {
@@ -637,14 +634,7 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 				Witness: g.WitnessPath(pc),
 			})
 		}
-		for pc := g.Start(); pc < g.End(); pc++ {
-			if mainReached != nil && !mainReached[pc-g.Start()] {
-				continue
-			}
-			st := stored[pc-g.Start()]
-			if st == nil {
-				continue
-			}
+		SolveForward[[]uint64](g, msp, DefaultMaxPasses).Replay(func(pc int, st []uint64) []uint64 {
 			in := p.Code[pc]
 			switch in.Op {
 			case vm.OpLoadGlobal:
@@ -663,22 +653,21 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 					}
 				}
 			}
-		}
+			return msp.Transfer(pc, st)
+		})
 
 		// Rule 3: strict result escape at main's exits.
-		if opt.StrictResult && mainIn != nil {
-			for pc := g.Start(); pc < g.End(); pc++ {
-				if !mainReached[pc-g.Start()] {
-					continue
-				}
+		if opt.StrictResult {
+			tp := problems[mainExt]
+			mainSol.Replay(func(pc int, s taintState) taintState {
 				in := p.Code[pc]
 				exit := in.Op == vm.OpHalt || in.Op == vm.OpReturn || in.Op == vm.OpTailCall
 				if !exit {
-					continue
+					return tp.Transfer(pc, s)
 				}
 				tainted := true // tail call: result comes from the callee
 				if in.Op != vm.OpTailCall {
-					tainted, _ = problems[mainExt].taintAt(mainIn[pc-g.Start()], vm.RegRV)
+					tainted, _ = tp.taintAt(s, vm.RegRV)
 				}
 				if tainted {
 					rep.Totals.ResultEscapes++
@@ -689,7 +678,8 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 						Witness: g.WitnessPath(pc),
 					})
 				}
-			}
+				return tp.Transfer(pc, s)
+			})
 		}
 	}
 

@@ -318,8 +318,9 @@ func BuildCallGraph(p *vm.Program) *CallGraph {
 	// current bindings, fold each global store's stored value back in,
 	// repeat until stable. Bindings only rise in the lattice, so the
 	// round cap is generous.
-	solved := make([][]calleeState, len(cg.Extents))
-	reachedAll := make([][]bool, len(cg.Extents))
+	// sites[i] holds extent i's call sites with cp's value in the
+	// latest solve.
+	sites := make([][]CallSite, len(cg.Extents))
 	stable := false
 	for round := 0; round < DefaultMaxPasses && !stable; round++ {
 		next := make([]Callee, len(seed))
@@ -331,17 +332,18 @@ func BuildCallGraph(p *vm.Program) *CallGraph {
 				continue
 			}
 			prob := cg.problemFor(i)
-			in, reached, _ := SolveForward[calleeState](g, prob, DefaultMaxPasses)
-			solved[i], reachedAll[i] = in, reached
-			for pc := g.Start(); pc < g.End(); pc++ {
-				if !reached[pc-g.Start()] {
-					continue
+			sites[i] = sites[i][:0]
+			SolveForward[calleeState](g, prob, DefaultMaxPasses).Replay(func(pc int, s calleeState) calleeState {
+				switch instr := p.Code[pc]; instr.Op {
+				case vm.OpStoreGlobal:
+					if instr.B >= 0 && instr.B < len(next) {
+						next[instr.B] = joinCallee(next[instr.B], s[instr.A])
+					}
+				case vm.OpCall, vm.OpTailCall, vm.OpCallCC:
+					sites[i] = append(sites[i], CallSite{PC: pc, Extent: i, Op: instr.Op, Callee: s[vm.RegCP]})
 				}
-				instr := p.Code[pc]
-				if instr.Op == vm.OpStoreGlobal && instr.B >= 0 && instr.B < len(next) {
-					next[instr.B] = joinCallee(next[instr.B], in[pc-g.Start()][instr.A])
-				}
-			}
+				return prob.Transfer(pc, s)
+			})
 		}
 		stable = true
 		for gi := range next {
@@ -357,27 +359,15 @@ func BuildCallGraph(p *vm.Program) *CallGraph {
 		copy(cg.Globals, next)
 	}
 
-	// Collect call sites from the final converged states.
-	for i := range cg.Extents {
-		g := cg.Graphs[i]
-		if g == nil {
-			continue
-		}
-		for pc := g.Start(); pc < g.End(); pc++ {
-			if !reachedAll[i][pc-g.Start()] {
-				continue
-			}
-			op := p.Code[pc].Op
-			if op != vm.OpCall && op != vm.OpTailCall && op != vm.OpCallCC {
-				continue
-			}
-			callee := solved[i][pc-g.Start()][vm.RegCP]
+	// Keep the call sites of the final converged states.
+	for _, ss := range sites {
+		for _, site := range ss {
 			if !stable {
 				// The binding fixpoint hit its round cap; the last solve
 				// may have used stale bindings, so resolve nothing.
-				callee = Callee{Kind: CalleeUnknown}
+				site.Callee = Callee{Kind: CalleeUnknown}
 			}
-			cg.Sites = append(cg.Sites, CallSite{PC: pc, Extent: i, Op: op, Callee: callee})
+			cg.Sites = append(cg.Sites, site)
 		}
 	}
 	return cg

@@ -11,21 +11,23 @@
 // instruction effects (vm.InstrEffects). Both now run on the engines
 // here, so an instruction-set change touches one decoder and one
 // traversal, and new analyses start from working plumbing instead of a
-// third copy. The refactor is behaviour-preserving by construction and
-// by test: the engines iterate in the same deterministic address-order
+// third copy. The engines are behaviour-preserving by construction and
+// by test: they iterate in the same deterministic address-order
 // schedule the originals used (procedure bodies are forward DAGs
 // emitted in topological order, so one pass normally converges), and
-// the differential golden test in internal/bench locks both passes'
-// findings to the pre-refactor output byte-for-byte over the full
-// benchmark corpus under every sweep configuration.
+// the differential golden tests in internal/bench lock every pass's
+// findings byte-for-byte over the full benchmark corpus under every
+// sweep configuration.
 //
 // The two layers:
 //
 //   - Intraprocedural: Graph (one procedure extent's CFG: per-pc
 //     successors/predecessors, cached effects, basic blocks in reverse
-//     postorder) and the fixpoint engines SolveForward / SolveBackward,
-//     parameterized by a client-supplied transfer function and lattice
-//     join (fixpoint.go).
+//     postorder) and the block-granular fixpoint engines SolveForward /
+//     SolveBackward, parameterized by a client-supplied transfer
+//     function and lattice join and read through one in-order Replay
+//     (fixpoint.go), with copy-on-write chunked Cells for states that
+//     grow with the frame (cells.go).
 //   - Interprocedural: CallGraph (callgraph.go) resolves each call
 //     site's callee by tracking closure values through registers and
 //     once-bound globals, then Summaries (summary.go) computes each

@@ -1,14 +1,22 @@
 package dataflow
 
-// The generic fixpoint engines. Both iterate the extent in address
-// order (forward: increasing pc, backward: decreasing pc) repeatedly
-// until no state changes: procedure bodies are forward DAGs emitted in
-// topological order, so a single pass normally converges, and the
-// schedule exactly matches the loops internal/verify and
-// internal/analysis used before the refactor — which is what keeps
-// their findings reproducible bit-for-bit. The pass cap only trips on
-// malformed code (e.g. an irreducible backward-jump tangle), which the
-// caller then reports as unverifiable/unanalyzable.
+// The generic fixpoint engines. Both keep one state per basic block,
+// not per instruction, and apply transfers in place across a block, so
+// a solve costs O(instructions) transfers plus O(blocks + edges) clones
+// and joins, and holds O(blocks) states. Blocks are visited in address
+// order (forward) or reverse address order (backward) until no block
+// state changes: procedure bodies are forward DAGs emitted in
+// topological order, so one pass normally converges, and the schedule
+// matches the per-instruction loops internal/verify and
+// internal/analysis first used — which is what keeps their findings
+// reproducible bit-for-bit. The pass cap only trips on malformed code
+// (e.g. an irreducible backward-jump tangle), which the caller then
+// reports as unverifiable/unanalyzable.
+//
+// A caller reads a solution through one Replay, which re-runs each
+// block from its fixed entry state and shows the caller every
+// instruction's state in turn; there is no random access to the state
+// at an arbitrary pc.
 
 // DefaultMaxPasses bounds a fixpoint run. The emitter never needs more
 // than one or two passes; the cap guards hand-built hostile inputs.
@@ -16,7 +24,7 @@ const DefaultMaxPasses = 64
 
 // ForwardProblem is a forward dataflow problem: abstract states flow
 // from the extent entry along control edges. S is the per-program-point
-// state (a struct, a slice, or any value the three methods agree on).
+// state (a struct, a slice, or any value the methods agree on).
 type ForwardProblem[S any] interface {
 	// Entry is the abstract state before the first instruction.
 	Entry() S
@@ -31,41 +39,67 @@ type ForwardProblem[S any] interface {
 	Join(dst, src S) (S, bool)
 }
 
-// SolveForward computes the forward fixpoint over g. It returns the
-// in-state before every reachable instruction (indexed pc-Start), the
-// reachability mask, and whether the fixpoint converged within
+// Forward is a solved forward problem: the fixed in-state of every
+// reachable basic block.
+type Forward[S any] struct {
+	g       *Graph
+	p       ForwardProblem[S]
+	in      []S // per block
+	reached []bool
+	// Converged reports whether the fixpoint was reached within the
+	// pass cap.
+	Converged bool
+}
+
+// SolveForward computes the forward fixpoint over g in at most
 // maxPasses sweeps.
-func SolveForward[S any](g *Graph, p ForwardProblem[S], maxPasses int) (in []S, reached []bool, converged bool) {
-	n := g.end - g.start
-	in = make([]S, n)
-	reached = make([]bool, n)
-	in[0] = p.Entry()
-	reached[0] = true
-	var buf [2]int
+func SolveForward[S any](g *Graph, p ForwardProblem[S], maxPasses int) *Forward[S] {
+	blocks := g.blocks
+	f := &Forward[S]{g: g, p: p, in: make([]S, len(blocks)), reached: make([]bool, len(blocks))}
+	f.in[0] = p.Entry()
+	f.reached[0] = true
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
-		for pc := g.start; pc < g.end; pc++ {
-			if !reached[pc-g.start] {
+		for bi, b := range blocks {
+			if !f.reached[bi] {
 				continue
 			}
-			out := p.Transfer(pc, p.Clone(in[pc-g.start]))
-			for _, succ := range g.Succs(pc, buf[:]) {
-				i := succ - g.start
-				if !reached[i] {
-					in[i] = p.Clone(out)
-					reached[i] = true
+			s := p.Clone(f.in[bi])
+			for pc := b.Start; pc < b.End; pc++ {
+				s = p.Transfer(pc, s)
+			}
+			for _, sb := range b.Succs {
+				if !f.reached[sb] {
+					f.in[sb] = p.Clone(s)
+					f.reached[sb] = true
 					changed = true
-				} else if nv, ch := p.Join(in[i], out); ch {
-					in[i] = nv
+				} else if nv, ch := p.Join(f.in[sb], s); ch {
+					f.in[sb] = nv
 					changed = true
 				}
 			}
 		}
 		if !changed {
-			return in, reached, true
+			f.Converged = true
+			return f
 		}
 	}
-	return in, reached, false
+	return f
+}
+
+// Replay hands visit the in-state of every reachable pc, in increasing
+// address order. visit owns s and returns the state after pc, normally
+// by applying the problem's Transfer while it observes s.
+func (f *Forward[S]) Replay(visit func(pc int, s S) S) {
+	for bi, b := range f.g.blocks {
+		if !f.reached[bi] {
+			continue
+		}
+		s := f.p.Clone(f.in[bi])
+		for pc := b.Start; pc < b.End; pc++ {
+			s = visit(pc, s)
+		}
+	}
 }
 
 // BackwardProblem is a backward may-analysis: facts flow from every
@@ -84,44 +118,63 @@ type BackwardProblem[S any] interface {
 	Eq(a, b S) bool
 }
 
-// SolveBackward computes the backward fixpoint over g, returning the
-// in-state of every instruction (indexed pc-Start) and whether the
-// fixpoint converged within maxPasses sweeps. The out-state of a pc is
-// not stored; recover it with MergeOut.
-func SolveBackward[S any](g *Graph, p BackwardProblem[S], maxPasses int) (in []S, converged bool) {
-	n := g.end - g.start
-	in = make([]S, n)
-	for i := range in {
-		in[i] = p.New()
-	}
-	var buf [2]int
-	for pass := 0; pass < maxPasses; pass++ {
-		changed := false
-		for pc := g.end - 1; pc >= g.start; pc-- {
-			out := p.New()
-			for _, succ := range g.Succs(pc, buf[:]) {
-				out = p.Merge(out, in[succ-g.start])
-			}
-			next := p.Transfer(pc, out)
-			if !p.Eq(next, in[pc-g.start]) {
-				changed = true
-			}
-			in[pc-g.start] = next
-		}
-		if !changed {
-			return in, true
-		}
-	}
-	return in, false
+// Backward is a solved backward problem: the fixed in-state of every
+// basic block. Every block has one, reachable from the entry or not.
+type Backward[S any] struct {
+	g  *Graph
+	p  BackwardProblem[S]
+	in []S // per block
+	// Converged reports whether the fixpoint was reached within the
+	// pass cap.
+	Converged bool
 }
 
-// MergeOut reconstructs the out-state of pc from a solved backward
-// problem: the union of the in-states of pc's successors.
-func MergeOut[S any](g *Graph, p BackwardProblem[S], in []S, pc int) S {
-	out := p.New()
-	var buf [2]int
-	for _, succ := range g.Succs(pc, buf[:]) {
-		out = p.Merge(out, in[succ-g.start])
+// SolveBackward computes the backward fixpoint over g in at most
+// maxPasses sweeps.
+func SolveBackward[S any](g *Graph, p BackwardProblem[S], maxPasses int) *Backward[S] {
+	blocks := g.blocks
+	bw := &Backward[S]{g: g, p: p, in: make([]S, len(blocks))}
+	for i := range bw.in {
+		bw.in[i] = p.New()
 	}
-	return out
+	for pass := 0; pass < maxPasses; pass++ {
+		changed := false
+		for bi := len(blocks) - 1; bi >= 0; bi-- {
+			s := bw.out(bi)
+			for pc := blocks[bi].End - 1; pc >= blocks[bi].Start; pc-- {
+				s = p.Transfer(pc, s)
+			}
+			if !p.Eq(s, bw.in[bi]) {
+				changed = true
+			}
+			bw.in[bi] = s
+		}
+		if !changed {
+			bw.Converged = true
+			return bw
+		}
+	}
+	return bw
+}
+
+// out merges the in-states of block bi's successors.
+func (bw *Backward[S]) out(bi int) S {
+	s := bw.p.New()
+	for _, sb := range bw.g.blocks[bi].Succs {
+		s = bw.p.Merge(s, bw.in[sb])
+	}
+	return s
+}
+
+// Replay hands visit the out-state of every pc: blocks in address
+// order, each walked from its last instruction to its first. visit owns
+// out and returns the in-state of pc, normally by applying the
+// problem's Transfer after it observes out.
+func (bw *Backward[S]) Replay(visit func(pc int, out S) S) {
+	for bi, b := range bw.g.blocks {
+		s := bw.out(bi)
+		for pc := b.End - 1; pc >= b.Start; pc-- {
+			s = visit(pc, s)
+		}
+	}
 }

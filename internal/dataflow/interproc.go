@@ -208,8 +208,8 @@ func analyzeExtentInterproc(p *vm.Program, cg *CallGraph, sums *Summaries, ei in
 			mp.callClob[pc] = full
 		}
 	}
-	in, reached, converged := SolveForward[matchState](g, mp, DefaultMaxPasses)
-	if !converged {
+	sol := SolveForward[matchState](g, mp, DefaultMaxPasses)
+	if !sol.Converged {
 		return
 	}
 
@@ -233,17 +233,16 @@ func analyzeExtentInterproc(p *vm.Program, cg *CallGraph, sums *Summaries, ei in
 	}
 
 	deadRestore := map[int]bool{}
-	for pc := g.Start(); pc < g.End(); pc++ {
-		if !reached[pc-g.Start()] {
-			continue
-		}
+	var saves []int // reachable saves, in address order
+	sol.Replay(func(pc int, s matchState) matchState {
 		instr := p.Code[pc]
 		switch {
 		case instr.Op == vm.OpStoreSlot && instr.Kind == vm.KindSave:
 			rep.Totals.Saves++
+			saves = append(saves, pc)
 		case instr.Op == vm.OpLoadSlot && instr.Kind == vm.KindRestore:
 			rep.Totals.Restores++
-			if instr.B >= 0 && instr.B < frame && in[pc-g.Start()].has(instr.A, instr.B) {
+			if instr.B >= 0 && instr.B < frame && s.has(instr.A, instr.B) {
 				deadRestore[pc] = true
 				rep.Totals.CrossDeadRestores++
 				witness := g.WitnessPath(pc)
@@ -259,19 +258,17 @@ func analyzeExtentInterproc(p *vm.Program, cg *CallGraph, sums *Summaries, ei in
 				report(KindCrossCallDeadRestore, pc, instr.A, instr.B, callPC, msg, witness)
 			}
 		}
-	}
+		return mp.Transfer(pc, s)
+	})
 
 	// A save is cross-call-redundant when its slot has at least one
 	// reachable read and every such read is a cross-call-dead restore:
 	// the save and those restores are removable as a unit. Slots with no
 	// reads at all are the intraprocedural lint's redundant-save finding
 	// and are not re-reported here.
-	for pc := g.Start(); pc < g.End(); pc++ {
-		if !reached[pc-g.Start()] {
-			continue
-		}
+	for _, pc := range saves {
 		instr := p.Code[pc]
-		if instr.Op != vm.OpStoreSlot || instr.Kind != vm.KindSave || instr.B < 0 || instr.B >= frame {
+		if instr.B < 0 || instr.B >= frame {
 			continue
 		}
 		reads := slotReadsFrom(p, g, pc, instr.B)

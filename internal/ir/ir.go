@@ -101,6 +101,7 @@ type GlobalSet struct {
 	Index int
 	Name  sexp.Symbol
 	Rhs   Expr
+	calls callMemo
 }
 
 // If is a conditional.
@@ -118,10 +119,14 @@ type If struct {
 	// by the lazy-restore baseline to restore registers "live on exit
 	// from the enclosing save region" (Figure 2c).
 	LiveAfter regset.Set
+	calls     callMemo
 }
 
 // Seq evaluates expressions left to right, yielding the last value.
-type Seq struct{ Exprs []Expr }
+type Seq struct {
+	Exprs []Expr
+	calls callMemo
+}
 
 // Bind introduces one local variable scoped over Body. (Multi-binding
 // lets are lowered to chains of Binds; alpha-renaming makes this
@@ -134,12 +139,14 @@ type Bind struct {
 	// be saved immediately at its definition point (a call is inevitable
 	// while it is live).
 	SaveVar bool
+	calls   callMemo
 }
 
 // PrimCall applies a primitive (open-coded; never a procedure call).
 type PrimCall struct {
-	Def  *prim.Def
-	Args []Expr
+	Def   *prim.Def
+	Args  []Expr
+	calls callMemo
 }
 
 // Call invokes a procedure value.
@@ -166,6 +173,7 @@ type Call struct {
 	// LateSaves is used by the late-save strategy: registers saved
 	// immediately before this call.
 	LateSaves regset.Set
+	calls     callMemo
 }
 
 // MakeClosure allocates a closure for procedure ProcIndex capturing the
@@ -185,14 +193,16 @@ type Fix struct {
 	Body     Expr
 	// SaveVars mirrors Bind.SaveVar per variable.
 	SaveVars []bool
+	calls    callMemo
 }
 
 // Save wraps Body with a register save set (the lazy and early
 // strategies place these; the code generator eliminates saves already
 // performed by an enclosing Save).
 type Save struct {
-	Regs regset.Set
-	Body Expr
+	Regs  regset.Set
+	Body  Expr
+	calls callMemo
 }
 
 func (*Const) irExpr()       {}
@@ -244,55 +254,84 @@ type Program struct {
 
 // HasCalls reports whether e contains a non-tail call (used for
 // syntactic-leaf classification and for simple/complex argument
-// partitioning in the shuffler).
+// partitioning in the shuffler). The answer is computed once per node,
+// bottom-up, on the first query and cached in the node, so every later
+// query is O(1). Closure conversion builds the IR once and no pass
+// restructures it afterwards, so the cache cannot go stale.
 func HasCalls(e Expr) bool {
+	var memo *callMemo
 	switch t := e.(type) {
-	case *Const, *VarRef, *FreeRef, *GlobalRef:
+	case *Const, *VarRef, *FreeRef, *GlobalRef, *MakeClosure:
 		return false
+	case *GlobalSet:
+		memo = &t.calls
+	case *If:
+		memo = &t.calls
+	case *Seq:
+		memo = &t.calls
+	case *Bind:
+		memo = &t.calls
+	case *PrimCall:
+		memo = &t.calls
+	case *Call:
+		memo = &t.calls
+	case *Fix:
+		memo = &t.calls
+	case *Save:
+		memo = &t.calls
+	default:
+		panic(fmt.Sprintf("ir: unknown expression %T", e))
+	}
+	if *memo == callsUnknown {
+		*memo = callsNo
+		if containsCall(e) {
+			*memo = callsYes
+		}
+	}
+	return *memo == callsYes
+}
+
+// callMemo caches HasCalls in a composite node.
+type callMemo uint8
+
+const (
+	callsUnknown callMemo = iota
+	callsNo
+	callsYes
+)
+
+// containsCall answers HasCalls for a composite node from its children.
+func containsCall(e Expr) bool {
+	switch t := e.(type) {
 	case *GlobalSet:
 		return HasCalls(t.Rhs)
 	case *If:
 		return HasCalls(t.Test) || HasCalls(t.Then) || HasCalls(t.Else)
 	case *Seq:
-		for _, x := range t.Exprs {
-			if HasCalls(x) {
-				return true
-			}
-		}
-		return false
+		return anyHasCalls(t.Exprs)
 	case *Bind:
 		return HasCalls(t.Rhs) || HasCalls(t.Body)
 	case *PrimCall:
-		for _, x := range t.Args {
-			if HasCalls(x) {
-				return true
-			}
-		}
-		return false
+		return anyHasCalls(t.Args)
 	case *Call:
-		if !t.Tail {
-			return true
-		}
 		// A tail call is a jump (paper footnote 1), but calls nested in
 		// its argument expressions still count.
-		if HasCalls(t.Fn) {
-			return true
-		}
-		for _, x := range t.Args {
-			if HasCalls(x) {
-				return true
-			}
-		}
-		return false
-	case *MakeClosure:
-		return false
+		return !t.Tail || HasCalls(t.Fn) || anyHasCalls(t.Args)
 	case *Fix:
 		return HasCalls(t.Body)
 	case *Save:
 		return HasCalls(t.Body)
-	default:
-		panic(fmt.Sprintf("ir: unknown expression %T", e))
 	}
+	panic(fmt.Sprintf("ir: unknown expression %T", e))
+}
+
+func anyHasCalls(es []Expr) bool {
+	for _, x := range es {
+		if HasCalls(x) {
+			return true
+		}
+	}
+	return false
 }
 
 // Print renders an expression for dumps and tests.

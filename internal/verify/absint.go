@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dataflow"
 	"repro/internal/vm"
@@ -38,13 +39,20 @@ type procVerifier struct {
 	eff []vm.Effects
 	// pf wraps eff for CFG walks and witness searches.
 	pf *PathFinder
-	// in holds the abstract state before each instruction.
-	in []state
-	// pairsAfter is the backward restore-pair analysis result: the
-	// save/restore obligations live immediately after each instruction
-	// (a bitset over pairList).
+	// pairsAfter is the backward restore-pair analysis result at each
+	// call (indexed pc-start, nil elsewhere): the save/restore
+	// obligations live immediately after it, a bitset over pairList.
 	pairsAfter [][]uint64
 	pairList   []restorePair
+	// undefOuts is the outgoing-slot cells a call leaves behind, shared
+	// by every call's transfer.
+	undefOuts dataflow.Cells[absVal]
+	// recs indexes the program's shuffle records starting in this
+	// procedure. shuffles are those checked during the replay, and
+	// shufflesAt indexes them by start and call pc.
+	recs       []int
+	shuffles   []pendingShuffle
+	shufflesAt map[int][]int
 
 	entryCS []int32
 	seen    map[violationKey]bool
@@ -65,9 +73,10 @@ type violationKey struct {
 	slot int
 }
 
-func newProcVerifier(p *vm.Program, pr procRange, syms *symtab) *procVerifier {
+func newProcVerifier(p *vm.Program, pr procRange, recs []int, syms *symtab) *procVerifier {
 	return &procVerifier{
 		p:     p,
+		recs:  recs,
 		cfg:   p.Config,
 		info:  pr.info,
 		start: pr.start,
@@ -103,9 +112,7 @@ func (pv *procVerifier) run(out *[]Violation) {
 	}
 	pv.pf = pathFinderFor(pv.start, pv.end, pv.eff)
 	pv.restorePairs()
-	pv.fixpoint()
-	pv.checkPass()
-	pv.checkShuffles()
+	pv.checkPass(pv.fixpoint())
 }
 
 // prescan performs the state-independent structural checks and caches
@@ -261,6 +268,8 @@ type pairsProblem struct {
 	pv    *procVerifier
 	words int
 	genAt []int // pair id + 1, 0 = none
+	// slotPairs lists, per frame slot, the pairs restoring from it.
+	slotPairs [][]int
 }
 
 func (pp pairsProblem) New() []uint64 { return make([]uint64, pp.words) }
@@ -276,10 +285,8 @@ func (pp pairsProblem) Merge(dst, src []uint64) []uint64 {
 func (pp pairsProblem) Transfer(pc int, out []uint64) []uint64 {
 	pv := pp.pv
 	for _, s := range pv.eff[pc-pv.start].WriteSlots {
-		for id, pr := range pv.pairList {
-			if pr.slot == s {
-				out[id/64] &^= 1 << (id % 64)
-			}
+		for _, id := range pp.slotPairs[s] {
+			out[id/64] &^= 1 << (id % 64)
 		}
 	}
 	if id := pp.genAt[pc-pv.start]; id > 0 {
@@ -297,10 +304,11 @@ func (pp pairsProblem) Eq(a, b []uint64) bool {
 	return true
 }
 
-// restorePairs runs the backward may-analysis: pairsAfter[pc] holds the
-// (register, slot) pairs for which some downstream path restores the
-// register from the slot with no intervening write to the slot. A call
-// with such a pair live after it relies on the matching save.
+// restorePairs runs the backward may-analysis and keeps its result at
+// each call: pairsAfter[pc] holds the (register, slot) pairs for which
+// some downstream path restores the register from the slot with no
+// intervening write to the slot. A call with such a pair live after it
+// relies on the matching save.
 func (pv *procVerifier) restorePairs() {
 	n := pv.end - pv.start
 	ids := map[restorePair]int{}
@@ -322,12 +330,16 @@ func (pv *procVerifier) restorePairs() {
 	if len(pv.pairList) == 0 {
 		return
 	}
-	pp := pairsProblem{pv: pv, words: (len(pv.pairList) + 63) / 64, genAt: genAt}
-	g := pv.pf.Graph()
-	pin, _ := dataflow.SolveBackward[[]uint64](g, pp, maxPasses)
-	for pc := pv.start; pc < pv.end; pc++ {
-		pv.pairsAfter[pc-pv.start] = dataflow.MergeOut[[]uint64](g, pp, pin, pc)
+	pp := pairsProblem{pv: pv, words: (len(pv.pairList) + 63) / 64, genAt: genAt, slotPairs: make([][]int, pv.frame)}
+	for id, pr := range pv.pairList {
+		pp.slotPairs[pr.slot] = append(pp.slotPairs[pr.slot], id)
 	}
+	dataflow.SolveBackward[[]uint64](pv.pf.Graph(), pp, maxPasses).Replay(func(pc int, out []uint64) []uint64 {
+		if op := pv.p.Code[pc].Op; op == vm.OpCall || op == vm.OpCallCC {
+			pv.pairsAfter[pc-pv.start] = append([]uint64(nil), out...)
+		}
+		return pp.Transfer(pc, out)
+	})
 }
 
 // entryState seeds the abstract state the calling convention
@@ -335,21 +347,16 @@ func (pv *procVerifier) restorePairs() {
 // callee-saves and incoming stack parameters are defined; everything
 // else is undefined.
 func (pv *procVerifier) entryState() state {
+	undef := absVal{k: aUndef}
+	pv.undefOuts = dataflow.NewCells(pv.nOut, undef)
 	s := state{
-		live:  true,
 		regs:  make([]absVal, pv.nRegs),
-		slots: make([]absVal, pv.frame),
-		outs:  make([]absVal, pv.nOut),
+		slots: dataflow.NewCells(pv.frame, undef),
+		outs:  pv.undefOuts.Clone(),
 		saved: make([]savedCopy, pv.nRegs),
 	}
 	for i := range s.regs {
-		s.regs[i] = absVal{k: aUndef}
-	}
-	for i := range s.slots {
-		s.slots[i] = absVal{k: aUndef}
-	}
-	for i := range s.outs {
-		s.outs[i] = absVal{k: aUndef}
+		s.regs[i] = undef
 	}
 	s.regs[vm.RegRet] = absVal{k: aDef, sym: symRet}
 	s.regs[vm.RegCP] = absVal{k: aDef, sym: symCP}
@@ -367,7 +374,7 @@ func (pv *procVerifier) entryState() state {
 		pv.entryCS = append(pv.entryCS, sym)
 	}
 	for k := 0; k < pv.stackParams && k < pv.frame; k++ {
-		s.slots[k] = absVal{k: aDef, sym: symStackParam - int32(k)}
+		s.slots.Set(k, absVal{k: aDef, sym: symStackParam - int32(k)})
 	}
 	return s
 }
@@ -375,8 +382,6 @@ func (pv *procVerifier) entryState() state {
 // absintProblem adapts the verifier's abstract interpretation to the
 // generic forward engine: Entry seeds the calling convention, Transfer
 // is step without checking, Join is the interning lattice join.
-// Unreached program points keep the zero state (live=false), so the
-// engine's reachability mask and state.live coincide.
 type absintProblem struct{ pv *procVerifier }
 
 func (ap absintProblem) Entry() state { return ap.pv.entryState() }
@@ -393,28 +398,30 @@ func (ap absintProblem) Join(dst, src state) (state, bool) {
 	return dst, ch
 }
 
-// fixpoint computes in[pc] for every reachable pc. Bodies are forward
-// DAGs, so increasing-address passes converge quickly; a pass cap
-// reports Unverifiable otherwise.
-func (pv *procVerifier) fixpoint() {
-	in, _, converged := dataflow.SolveForward[state](pv.pf.Graph(), absintProblem{pv}, maxPasses)
-	pv.in = in
-	if !converged {
+// fixpoint solves the abstract interpretation for the in-state of every
+// reachable block. Bodies are forward DAGs, so increasing-address
+// passes converge quickly; a pass cap reports Unverifiable otherwise.
+func (pv *procVerifier) fixpoint() *dataflow.Forward[state] {
+	sol := dataflow.SolveForward[state](pv.pf.Graph(), absintProblem{pv}, maxPasses)
+	if !sol.Converged {
 		pv.report(Violation{Kind: Unverifiable, PC: pv.start, Reg: -1, Slot: -1, CallPC: -1,
 			Msg: fmt.Sprintf("fixpoint did not converge in %d passes", maxPasses)})
 	}
+	return sol
 }
 
 // checkPass replays every reachable instruction once against its fixed
-// in-state with checking enabled.
-func (pv *procVerifier) checkPass() {
-	for pc := pv.start; pc < pv.end; pc++ {
-		if !pv.in[pc-pv.start].live {
-			continue
+// in-state with checking enabled, checking each recorded shuffle as
+// the replay passes its start and its call.
+func (pv *procVerifier) checkPass(sol *dataflow.Forward[state]) {
+	pv.collectShuffles()
+	sol.Replay(func(pc int, s state) state {
+		for _, i := range pv.shufflesAt[pc] {
+			pv.shuffleAt(&pv.shuffles[i], pc, &s)
 		}
-		s := pv.in[pc-pv.start].clone()
 		pv.step(&s, pc, true)
-	}
+		return s
+	})
 }
 
 // defSym names the value defined by the instruction at pc.
@@ -444,7 +451,7 @@ func (pv *procVerifier) step(s *state, pc int, check bool) {
 		return v
 	}
 	readSlot := func(sl int, what string) absVal {
-		v := s.slots[sl]
+		v := s.slots.Get(sl)
 		if check && v.k == aUndef {
 			kind := UndefinedSlot
 			msg := fmt.Sprintf("%s reads fp[%d], which no path has written", what, sl)
@@ -458,7 +465,7 @@ func (pv *procVerifier) step(s *state, pc int, check bool) {
 		return v
 	}
 	readOut := func(o int, what string) {
-		if check && s.outs[o].k != aDef && s.outs[o].k != aTop {
+		if v := s.outs.Get(o); check && v.k != aDef && v.k != aTop {
 			pv.report(Violation{Kind: UndefinedSlot, PC: pc, Reg: -1, Slot: o, CallPC: -1,
 				Msg:     fmt.Sprintf("%s reads outgoing slot %d, which no path has written since the last call", what, o),
 				Witness: pv.witnessOut(pc, o)})
@@ -469,9 +476,7 @@ func (pv *procVerifier) step(s *state, pc int, check bool) {
 			s.regs[r] = absVal{k: aClob, sym: int32(pc)}
 		})
 		s.regs[vm.RegRV] = absVal{k: aDef, sym: defSym(pc)}
-		for i := range s.outs {
-			s.outs[i] = absVal{k: aUndef}
-		}
+		s.outs = pv.undefOuts.Clone()
 	}
 	checkExit := func(what string) {
 		if !check {
@@ -508,13 +513,13 @@ func (pv *procVerifier) step(s *state, pc int, check bool) {
 		s.regs[in.A] = v
 	case vm.OpStoreSlot:
 		v := readReg(in.A, "store")
-		s.slots[in.B] = v
+		s.slots.Set(in.B, v)
 		if in.Kind == vm.KindSave {
 			s.saved[in.A] = savedCopy{ok: v.k == aDef, slot: int32(in.B), sym: v.sym}
 		}
 	case vm.OpStoreOut:
 		v := readReg(in.A, "store-out")
-		s.outs[in.B] = v
+		s.outs.Set(in.B, v)
 	case vm.OpPrim, vm.OpClosure:
 		what := "primitive"
 		if in.Op == vm.OpClosure {
@@ -587,88 +592,113 @@ func (pv *procVerifier) step(s *state, pc int, check bool) {
 // the same register into the same slot — still holding the saved value
 // — that dominates the call.
 func (pv *procVerifier) checkSavesAtCall(s *state, pc int) {
-	after := pv.pairsAfter[pc-pv.start]
-	for id, pr := range pv.pairList {
-		if after[id/64]&(1<<(id%64)) == 0 {
-			continue
-		}
-		sc := s.saved[pr.reg]
-		slotVal := s.slots[pr.slot]
-		if slotVal.k == aTop {
-			continue // provenance widened away; cannot disprove
-		}
-		switch {
-		case !sc.ok || sc.slot != int32(pr.slot):
-			pv.report(Violation{Kind: MissingSave, PC: pc, Reg: pr.reg, Slot: pr.slot, CallPC: pc,
-				Msg: fmt.Sprintf("r%d is restored from fp[%d] after this call, but no save of r%d into fp[%d] dominates it",
-					pr.reg, pr.slot, pr.reg, pr.slot),
-				Witness: pv.witnessPath(pc)})
-		case slotVal.k != aDef || slotVal.sym != sc.sym:
-			pv.report(Violation{Kind: MissingSave, PC: pc, Reg: pr.reg, Slot: pr.slot, CallPC: pc,
-				Msg: fmt.Sprintf("fp[%d] no longer holds the value saved from r%d when the call at pc %d executes",
-					pr.slot, pr.reg, pc),
-				Witness: pv.witnessPath(pc)})
+	for w, word := range pv.pairsAfter[pc-pv.start] {
+		for ; word != 0; word &= word - 1 {
+			pv.checkSaveAtCall(s, pc, pv.pairList[w*64+bits.TrailingZeros64(word)])
 		}
 	}
 }
 
-// checkShuffles validates each recorded parallel assignment within this
-// procedure: at the call, every target register must hold the value its
-// source cell held when the call sequence began.
-func (pv *procVerifier) checkShuffles() {
-	for _, rec := range pv.p.Shuffles {
-		if rec.StartPC < pv.start || rec.StartPC >= pv.end {
-			continue
-		}
+// checkSaveAtCall checks one restore pair live after the call at pc.
+func (pv *procVerifier) checkSaveAtCall(s *state, pc int, pr restorePair) {
+	sc := s.saved[pr.reg]
+	slotVal := s.slots.Get(pr.slot)
+	if slotVal.k == aTop {
+		return // provenance widened away; cannot disprove
+	}
+	switch {
+	case !sc.ok || sc.slot != int32(pr.slot):
+		pv.report(Violation{Kind: MissingSave, PC: pc, Reg: pr.reg, Slot: pr.slot, CallPC: pc,
+			Msg: fmt.Sprintf("r%d is restored from fp[%d] after this call, but no save of r%d into fp[%d] dominates it",
+				pr.reg, pr.slot, pr.reg, pr.slot),
+			Witness: pv.witnessPath(pc)})
+	case slotVal.k != aDef || slotVal.sym != sc.sym:
+		pv.report(Violation{Kind: MissingSave, PC: pc, Reg: pr.reg, Slot: pr.slot, CallPC: pc,
+			Msg: fmt.Sprintf("fp[%d] no longer holds the value saved from r%d when the call at pc %d executes",
+				pr.slot, pr.reg, pc),
+			Witness: pv.witnessPath(pc)})
+	}
+}
+
+// pendingShuffle is one recorded parallel assignment of this
+// procedure, with the source values captured when the replay passed
+// its start.
+type pendingShuffle struct {
+	rec *vm.ShuffleRecord
+	// src[i] is the value assignment i must move, aBot when the check
+	// skips it; nil until the replay reaches the start.
+	src []absVal
+}
+
+// collectShuffles indexes the procedure's recorded shuffles (pv.recs)
+// by start and call pc, in record order.
+func (pv *procVerifier) collectShuffles() {
+	for _, i := range pv.recs {
+		rec := &pv.p.Shuffles[i]
 		if rec.CallPC < rec.StartPC || rec.CallPC >= pv.end {
 			continue
 		}
-		stIn := &pv.in[rec.StartPC-pv.start]
-		callIn := &pv.in[rec.CallPC-pv.start]
-		if !stIn.live || !callIn.live {
+		if pv.shufflesAt == nil {
+			pv.shufflesAt = map[int][]int{}
+		}
+		id := len(pv.shuffles)
+		pv.shuffles = append(pv.shuffles, pendingShuffle{rec: rec})
+		pv.shufflesAt[rec.StartPC] = append(pv.shufflesAt[rec.StartPC], id)
+		if rec.CallPC != rec.StartPC {
+			pv.shufflesAt[rec.CallPC] = append(pv.shufflesAt[rec.CallPC], id)
+		}
+	}
+}
+
+// shuffleAt advances one shuffle's check at pc, whose in-state is s: at
+// the start it captures every source cell, and at the call every target
+// register must hold the value its source held when the call sequence
+// began.
+func (pv *procVerifier) shuffleAt(sh *pendingShuffle, pc int, s *state) {
+	rec := sh.rec
+	if pc == rec.StartPC {
+		sh.src = make([]absVal, len(rec.Assigns))
+		for i, a := range rec.Assigns {
+			switch {
+			case a.SrcIsSlot && a.Src >= 0 && a.Src < pv.frame:
+				sh.src[i] = s.slots.Get(a.Src)
+			case !a.SrcIsSlot && a.Src >= 0 && a.Src < pv.nRegs:
+				sh.src[i] = s.regs[a.Src]
+			}
+		}
+	}
+	if pc != rec.CallPC || sh.src == nil {
+		return
+	}
+	for i, a := range rec.Assigns {
+		src := sh.src[i]
+		if src.k != aDef {
+			continue // source unproven or out of range; read checks cover it
+		}
+		if a.Target < 0 || a.Target >= pv.nRegs {
 			continue
 		}
-		for _, a := range rec.Assigns {
-			var src absVal
-			if a.SrcIsSlot {
-				if a.Src < 0 || a.Src >= pv.frame {
-					continue
-				}
-				src = stIn.slots[a.Src]
-			} else {
-				if a.Src < 0 || a.Src >= pv.nRegs {
-					continue
-				}
-				src = stIn.regs[a.Src]
-			}
-			if src.k != aDef {
-				continue // source itself unproven; read checks cover it
-			}
-			if a.Target < 0 || a.Target >= pv.nRegs {
-				continue
-			}
-			tgt := callIn.regs[a.Target]
-			if tgt.k == aTop {
-				continue
-			}
-			if tgt.k == aDef && tgt.sym == src.sym {
-				continue
-			}
-			srcName := fmt.Sprintf("r%d", a.Src)
-			if a.SrcIsSlot {
-				srcName = fmt.Sprintf("fp[%d]", a.Src)
-			}
-			detail := "holds a different value"
-			switch tgt.k {
-			case aClob:
-				detail = fmt.Sprintf("was destroyed by the call at pc %d", tgt.sym)
-			case aUndef:
-				detail = "was never written"
-			}
-			pv.report(Violation{Kind: ShuffleMismatch, PC: rec.CallPC, Reg: a.Target, Slot: -1, CallPC: rec.CallPC,
-				Msg: fmt.Sprintf("shuffle starting at pc %d must move %s into r%d, but r%d %s at the call",
-					rec.StartPC, srcName, a.Target, a.Target, detail),
-				Witness: pv.witnessPath(rec.CallPC)})
+		tgt := s.regs[a.Target]
+		if tgt.k == aTop {
+			continue
 		}
+		if tgt.k == aDef && tgt.sym == src.sym {
+			continue
+		}
+		srcName := fmt.Sprintf("r%d", a.Src)
+		if a.SrcIsSlot {
+			srcName = fmt.Sprintf("fp[%d]", a.Src)
+		}
+		detail := "holds a different value"
+		switch tgt.k {
+		case aClob:
+			detail = fmt.Sprintf("was destroyed by the call at pc %d", tgt.sym)
+		case aUndef:
+			detail = "was never written"
+		}
+		pv.report(Violation{Kind: ShuffleMismatch, PC: rec.CallPC, Reg: a.Target, Slot: -1, CallPC: rec.CallPC,
+			Msg: fmt.Sprintf("shuffle starting at pc %d must move %s into r%d, but r%d %s at the call",
+				rec.StartPC, srcName, a.Target, a.Target, detail),
+			Witness: pv.witnessPath(rec.CallPC)})
 	}
 }

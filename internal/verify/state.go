@@ -1,5 +1,7 @@
 package verify
 
+import "repro/internal/dataflow"
+
 // The abstract domain. Each cell (register, frame slot, outgoing slot)
 // holds an absVal:
 //
@@ -181,40 +183,42 @@ type savedCopy struct {
 	sym  int32
 }
 
-// state is the abstract machine state before one instruction.
+// state is the abstract machine state before one instruction. Frame
+// slots and outgoing slots grow with the program, so they live in
+// copy-on-write chunked cells: a clone shares them, and the fixpoint's
+// per-block states cost O(frame/64) each rather than O(frame).
 type state struct {
-	live  bool
 	regs  []absVal
-	slots []absVal
-	outs  []absVal
+	slots dataflow.Cells[absVal]
+	outs  dataflow.Cells[absVal]
 	saved []savedCopy
 }
 
 func (s *state) clone() state {
 	return state{
-		live:  s.live,
 		regs:  append([]absVal(nil), s.regs...),
-		slots: append([]absVal(nil), s.slots...),
-		outs:  append([]absVal(nil), s.outs...),
+		slots: s.slots.Clone(),
+		outs:  s.outs.Clone(),
 		saved: append([]savedCopy(nil), s.saved...),
 	}
 }
 
 // joinInto merges src into dst, returning whether dst changed. dst must
-// already be live with the same cell counts.
+// have the same cell counts.
 func (t *symtab) joinInto(dst *state, src *state) bool {
 	changed := false
-	mergeVals := func(d, s []absVal) {
-		for i := range d {
-			if nv := t.join(d[i], s[i]); nv != d[i] {
-				d[i] = nv
-				changed = true
-			}
+	for i := range dst.regs {
+		if nv := t.join(dst.regs[i], src.regs[i]); nv != dst.regs[i] {
+			dst.regs[i] = nv
+			changed = true
 		}
 	}
-	mergeVals(dst.regs, src.regs)
-	mergeVals(dst.slots, src.slots)
-	mergeVals(dst.outs, src.outs)
+	if dst.slots.JoinFrom(&src.slots, t.join) {
+		changed = true
+	}
+	if dst.outs.JoinFrom(&src.outs, t.join) {
+		changed = true
+	}
 	for i := range dst.saved {
 		d, s := dst.saved[i], src.saved[i]
 		if d == s {

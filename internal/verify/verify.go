@@ -219,9 +219,18 @@ func Program(p *vm.Program) []Violation {
 	}
 
 	ranges := procRanges(p, &out)
+	// Bucket the shuffle records by the procedure their start lies in;
+	// the ranges are sorted and contiguous.
+	recs := make([][]int, len(ranges))
+	for i, rec := range p.Shuffles {
+		j := sort.Search(len(ranges), func(j int) bool { return ranges[j].end > rec.StartPC })
+		if j < len(ranges) && rec.StartPC >= ranges[j].start {
+			recs[j] = append(recs[j], i)
+		}
+	}
 	syms := newSymtab()
-	for _, pr := range ranges {
-		pv := newProcVerifier(p, pr, syms)
+	for i, pr := range ranges {
+		pv := newProcVerifier(p, pr, recs[i], syms)
 		pv.run(&out)
 	}
 

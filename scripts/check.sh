@@ -1,8 +1,9 @@
 #!/bin/sh
-# Pre-PR gate: build, vet, test, then sweep the translation validator
-# and the optimality analyzer over the benchmark suite and run the
-# examples (every compilation in the examples runs with Options.Verify
-# on). The lint sweep fails on any redundant save or excess shuffle
+# Pre-PR gate: build, vet, test (the root module, then the perfbench
+# module and a short benchmark correctness run), then sweep the
+# translation validator and the optimality analyzer over the benchmark
+# suite and run the examples (every compilation in the examples runs
+# with Options.Verify on). The lint sweep fails on any redundant save or excess shuffle
 # move under any of the seven allocator configurations. Usage:
 #
 #   scripts/check.sh          # full test budget
@@ -49,6 +50,12 @@ go test $short ./...
 
 echo "== go test -race =="
 go test -race -short ./...
+
+echo "== benchmark module: tests and a compile-scale correctness smoke =="
+# perfbench is a module of its own, so the root go test stops at it; the
+# smoke checks every generated program's value and exits 1 on a wrong one.
+(cd perfbench && go test ./...)
+python3 perfbench/run.py --workload compile-scale --seed 1 --seconds 3 --trace 0 > /dev/null
 
 echo "== verifier sweep: benchmark suite, every configuration =="
 go run ./cmd/lsrbench -verify
