@@ -257,7 +257,9 @@ type Program struct {
 // partitioning in the shuffler). The answer is computed once per node,
 // bottom-up, on the first query and cached in the node, so every later
 // query is O(1). Closure conversion builds the IR once and no pass
-// restructures it afterwards, so the cache cannot go stale.
+// restructures it afterwards, so the cache cannot go stale. A query
+// may write the cache, so one IR is queried from one goroutine at a
+// time; each compilation owns its IR.
 func HasCalls(e Expr) bool {
 	var memo *callMemo
 	switch t := e.(type) {
