@@ -22,8 +22,8 @@
 //
 // Performance gate (see DESIGN.md §12):
 //
-//	lsrbench -suite quick -perfjson BENCH_0.json     # write a baseline
-//	lsrbench -suite quick -perfcompare BENCH_0.json  # gate against it
+//	lsrbench -suite quick -perfcompare BENCH_2.json  # gate against the committed baseline
+//	lsrbench -suite quick -perfjson BENCH_3.json     # record a new baseline
 //
 // Sustained-load SLO gate against a running lsrgate/lsrd (see
 // DESIGN.md §16; scripts/loadgen.sh stands the fleet up):

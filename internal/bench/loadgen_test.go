@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -12,13 +13,16 @@ import (
 // TestRunLoadAgainstFake: the generator sustains traffic, computes
 // sane percentiles, and the report round-trips through its JSON form.
 func TestRunLoadAgainstFake(t *testing.T) {
-	var hits [5]int
+	// Handlers run on concurrent server goroutines, so the per-path
+	// counts are guarded.
+	var (
+		mu   sync.Mutex
+		hits = map[string]int{}
+	)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		for i, c := range loadCorpus {
-			if r.URL.Path == c.path {
-				hits[i]++
-			}
-		}
+		mu.Lock()
+		hits[r.URL.Path]++
+		mu.Unlock()
 		w.Write([]byte(`{"ok":true}`))
 	}))
 	defer srv.Close()
@@ -27,6 +31,13 @@ func TestRunLoadAgainstFake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mu.Lock()
+	for _, path := range []string{"/v1/compile", "/v1/run", "/v1/batch"} {
+		if hits[path] == 0 {
+			t.Errorf("the load mix sent no request to %s (hits %v)", path, hits)
+		}
+	}
+	mu.Unlock()
 	if rep.Schema != LoadSchema {
 		t.Errorf("schema %q", rep.Schema)
 	}

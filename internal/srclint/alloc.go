@@ -3,12 +3,11 @@ package srclint
 // The alloc-baseline analyzer: drives the Go compiler's escape analysis
 // (go build -gcflags=-m) over the VM package and diffs the reported
 // heap-escape sites in the hot-path files against a committed,
-// annotated baseline (ALLOC_BASELINE.json). The VM's remaining
-// wall-time is allocation-bound (DESIGN.md §12, BENCH_0.json), so any
-// *new* escape site in the dispatch hot path is a perf regression that
-// must be either eliminated or consciously added to the baseline — and
-// the baseline itself is the measurement scaffold for the planned
-// value-representation overhaul: shrinking it is the roadmap's metric.
+// annotated baseline (ALLOC_BASELINE.json). Allocation was the VM's
+// dominant wall-time cost until the tagged-value and arena overhaul
+// (DESIGN.md §12, §14), so any *new* escape site in the dispatch hot
+// path is a perf regression that must be either eliminated or
+// consciously added to the baseline.
 //
 // Sites are keyed on (file, diagnostic text) with an occurrence count,
 // never on line numbers, so unrelated edits that move code do not churn
@@ -80,14 +79,14 @@ type AllocConfig struct {
 	RequireNote []string
 }
 
-// DefaultAllocConfig scopes the analyzer to the VM hot path: the two
-// dispatch-loop files (whose boxing escapes are the roadmap's known
-// bottleneck) plus the machine state and value representation files,
-// where every escape must carry an explicit justification.
+// DefaultAllocConfig scopes the analyzer to the VM hot path: the
+// threaded dispatch loop (exec.go) plus the machine state and value
+// representation files, where every escape must carry an explicit
+// justification.
 func DefaultAllocConfig() AllocConfig {
 	return AllocConfig{
 		Package:     "./internal/vm",
-		Files:       []string{"exec.go", "fuse.go", "machine.go", "value.go"},
+		Files:       []string{"exec.go", "machine.go", "value.go"},
 		RequireNote: []string{"machine.go", "value.go"},
 	}
 }

@@ -10,22 +10,13 @@ package srclint
 //   - every Op constant has a case in the reference switch loop and in
 //     the threaded engine's decoder (decodeOne);
 //   - every dispatch code (xcode constant) has an arm in runThreaded,
-//     except the ones configured as deliberately default-handled;
-//   - the specialized-primitive table is closed: every spec code
-//     specPrim can return has a compute case of the right arity
-//     (specCompute1/specCompute2), so fused arms can never hit a
-//     missing computation;
-//   - the run-fusion tables agree: the opcode set fusible() accepts is
-//     exactly the set fuse() installs a handler for, so a fusible run
-//     can never be left with a nil handler;
-//   - every handler-typed function performs its own step accounting
-//     (calls tick), and every fused-pair arm charges the second
-//     sub-instruction's counters, so counter/fuel parity with the
-//     switch loop is structural, not incidental.
+//     except the ones configured as deliberately default-handled — so
+//     every specialized-primitive code specPrim can return, and every
+//     slow-path code the decoder can install, has an arm to run in.
 //
 // What it deliberately cannot prove: that an arm's *body* matches the
 // switch loop's semantics — that remains TestEngineEquivalence's job.
-// Parity here is table-shape parity: presence, arity, and accounting.
+// Parity here is table-shape parity: presence, not behaviour.
 
 import (
 	"fmt"
@@ -54,52 +45,17 @@ type ParityConfig struct {
 	// DefaultX lists XType constants deliberately handled by the
 	// threaded loop's default arm ("xUnknown").
 	DefaultX []string
-	// HandlerType is the named slow-path/fused handler func type
-	// ("handler"); functions of this type must call TickFunc.
-	HandlerType string
-	// TickFunc is the per-sub-instruction accounting method ("tick").
-	TickFunc string
-	// SpecFunc maps primitives to specialized codes ("specPrim").
-	SpecFunc string
-	// SpecCompute1 and SpecCompute2 are the shared compute functions
-	// for one- and two-argument specialized primitives.
-	SpecCompute1 string
-	SpecCompute2 string
-	// Spec2First is the first two-argument specialized code ("xPCons");
-	// spec codes at or above it are two-argument, below one-argument.
-	Spec2First string
-	// FusibleFunc and FuseFunc are the run-fusion predicate and the
-	// overlay installer whose opcode case sets must match.
-	FusibleFunc string
-	FuseFunc    string
-	// FusedArms are the fused-pair arms in ThreadedFunc that execute a
-	// second sub-instruction inline and must charge CounterFields for
-	// it ("xPredBr", "xPrimSt", "xHeadSt").
-	FusedArms []string
-	// CounterFields are the counter selectors every fused arm must
-	// touch ("Instructions", "Cycles").
-	CounterFields []string
 }
 
 // DefaultParityConfig matches internal/vm's engine surfaces.
 func DefaultParityConfig() ParityConfig {
 	return ParityConfig{
-		OpType:        "Op",
-		XType:         "xcode",
-		SwitchFunc:    "loop",
-		DecodeFunc:    "decodeOne",
-		ThreadedFunc:  "runThreaded",
-		DefaultX:      []string{"xUnknown"},
-		HandlerType:   "handler",
-		TickFunc:      "tick",
-		SpecFunc:      "specPrim",
-		SpecCompute1:  "specCompute1",
-		SpecCompute2:  "specCompute2",
-		Spec2First:    "xPCons",
-		FusibleFunc:   "fusible",
-		FuseFunc:      "fuse",
-		FusedArms:     []string{"xPredBr", "xPrimSt", "xHeadSt"},
-		CounterFields: []string{"Instructions", "Cycles"},
+		OpType:       "Op",
+		XType:        "xcode",
+		SwitchFunc:   "loop",
+		DecodeFunc:   "decodeOne",
+		ThreadedFunc: "runThreaded",
+		DefaultX:     []string{"xUnknown"},
 	}
 }
 
@@ -140,20 +96,6 @@ func (c *parityCheck) run() ([]findings.Finding, error) {
 	}
 	c.checkCoverage(xConsts, c.cfg.ThreadedFunc, "missing-threaded-arm",
 		"the threaded dispatch loop has no arm for it", defaultX)
-
-	// 4: the specialized-primitive table is closed.
-	if err := c.checkSpecTable(xConsts); err != nil {
-		return nil, err
-	}
-
-	// 5: run-fusion predicate and installer agree.
-	c.checkFusionTables()
-
-	// 6: handler functions perform their own accounting.
-	c.checkHandlersTick()
-
-	// 7: fused-pair arms charge the second sub-instruction.
-	c.checkFusedArms()
 
 	return c.found, nil
 }
@@ -238,215 +180,6 @@ func (c *parityCheck) checkCoverage(consts []constDecl, funcName, kind, why stri
 		}
 		c.reportAt(cd.pos, kind, fmt.Sprintf("%s is declared but %s: %s", name, funcName, why))
 	}
-}
-
-// returnedConsts collects the constants of the watched type returned by
-// the function (the spec table's range).
-func (c *parityCheck) returnedConsts(fd *ast.FuncDecl, typeName string) map[string]constDecl {
-	out := map[string]constDecl{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) == 0 {
-			return true
-		}
-		if id, ok := ret.Results[0].(*ast.Ident); ok {
-			if obj, ok := c.pkg.Info.Uses[id].(*types.Const); ok {
-				if named, ok := types.Unalias(obj.Type()).(*types.Named); ok && named.Obj().Name() == typeName {
-					out[obj.Name()] = constDecl{obj: obj, pos: id.Pos()}
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-func (c *parityCheck) checkSpecTable(xConsts []constDecl) error {
-	specFd := c.funcBody(c.cfg.SpecFunc)
-	c1 := c.funcBody(c.cfg.SpecCompute1)
-	c2 := c.funcBody(c.cfg.SpecCompute2)
-	if specFd == nil || c1 == nil || c2 == nil {
-		c.reportAt(token.NoPos, "spec-table-mismatch", fmt.Sprintf(
-			"specialized-primitive functions missing (%s/%s/%s)",
-			c.cfg.SpecFunc, c.cfg.SpecCompute1, c.cfg.SpecCompute2))
-		return nil
-	}
-	var spec2First int64 = -1
-	for _, cd := range xConsts {
-		if cd.obj.Name() == c.cfg.Spec2First {
-			spec2First, _ = constant.Int64Val(cd.obj.Val())
-		}
-	}
-	if spec2First < 0 {
-		return fmt.Errorf("srclint: parity: Spec2First constant %s not found", c.cfg.Spec2First)
-	}
-	compute1 := c.caseConsts(c1)
-	compute2 := c.caseConsts(c2)
-	for name, cd := range c.returnedConsts(specFd, c.cfg.XType) {
-		v, _ := constant.Int64Val(cd.obj.Val())
-		if v < spec2First {
-			if !compute1[name] {
-				c.reportAt(cd.pos, "spec-table-mismatch", fmt.Sprintf(
-					"%s returns %s but %s has no case for it: a fused arm hitting the type-miss fallback would lose the computation",
-					c.cfg.SpecFunc, name, c.cfg.SpecCompute1))
-			}
-		} else if !compute2[name] {
-			c.reportAt(cd.pos, "spec-table-mismatch", fmt.Sprintf(
-				"%s returns %s but %s has no case for it: a fused arm hitting the type-miss fallback would lose the computation",
-				c.cfg.SpecFunc, name, c.cfg.SpecCompute2))
-		}
-	}
-	return nil
-}
-
-func (c *parityCheck) checkFusionTables() {
-	fusible := c.funcBody(c.cfg.FusibleFunc)
-	fuse := c.funcBody(c.cfg.FuseFunc)
-	if fusible == nil || fuse == nil {
-		c.reportAt(token.NoPos, "fusion-table-mismatch", fmt.Sprintf(
-			"fusion functions missing (%s/%s)", c.cfg.FusibleFunc, c.cfg.FuseFunc))
-		return
-	}
-	accepts := c.opCases(fusible)
-	installs := c.opCases(fuse)
-	for name := range accepts {
-		if !installs[name] {
-			c.reportAt(fusible.Pos(), "fusion-table-mismatch", fmt.Sprintf(
-				"%s accepts %s but %s installs no run handler for it: a fused run would dispatch through a nil handler",
-				c.cfg.FusibleFunc, name, c.cfg.FuseFunc))
-		}
-	}
-	for name := range installs {
-		if !accepts[name] {
-			c.reportAt(fuse.Pos(), "fusion-table-mismatch", fmt.Sprintf(
-				"%s installs a run handler for %s but %s never accepts it: dead fusion table entry",
-				c.cfg.FuseFunc, name, c.cfg.FusibleFunc))
-		}
-	}
-}
-
-// opCases collects the OpType constants used as case expressions in fd.
-func (c *parityCheck) opCases(fd *ast.FuncDecl) map[string]bool {
-	out := map[string]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		cc, ok := n.(*ast.CaseClause)
-		if !ok {
-			return true
-		}
-		for _, expr := range cc.List {
-			if id, ok := expr.(*ast.Ident); ok {
-				if obj, ok := c.pkg.Info.Uses[id].(*types.Const); ok {
-					if named, ok := types.Unalias(obj.Type()).(*types.Named); ok && named.Obj().Name() == c.cfg.OpType {
-						out[obj.Name()] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// checkHandlersTick requires every function of the handler type to call
-// the tick accounting method: handlers own their per-sub-instruction
-// dispatch-cycle and fuel charging, and one that skips it silently
-// undercounts against the switch loop.
-func (c *parityCheck) checkHandlersTick() {
-	hobj := c.pkg.Types.Scope().Lookup(c.cfg.HandlerType)
-	if hobj == nil {
-		c.reportAt(token.NoPos, "handler-missing-tick", fmt.Sprintf(
-			"handler type %s not found in %s", c.cfg.HandlerType, c.pkg.Path))
-		return
-	}
-	hsig := hobj.Type().Underlying()
-	for _, file := range c.pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv != nil {
-				continue
-			}
-			obj, ok := c.pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok || !types.Identical(obj.Type().Underlying(), hsig) {
-				continue
-			}
-			if !c.callsMethod(fd, c.cfg.TickFunc) {
-				c.reportAt(fd.Pos(), "handler-missing-tick", fmt.Sprintf(
-					"handler %s never calls %s: it executes sub-instructions without charging the dispatch cycle and fuel the switch loop charges",
-					fd.Name.Name, c.cfg.TickFunc))
-			}
-		}
-	}
-}
-
-func (c *parityCheck) callsMethod(fd *ast.FuncDecl, name string) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// checkFusedArms requires the fused-pair arms of the threaded loop to
-// increment each configured counter field: the second sub-instruction
-// of a fused pair has no dispatch preamble of its own, so the arm body
-// must charge its instruction and cycle explicitly.
-func (c *parityCheck) checkFusedArms() {
-	fd := c.funcBody(c.cfg.ThreadedFunc)
-	if fd == nil {
-		return // already reported by coverage check
-	}
-	want := map[string]bool{}
-	for _, a := range c.cfg.FusedArms {
-		want[a] = true
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		cc, ok := n.(*ast.CaseClause)
-		if !ok {
-			return true
-		}
-		var armName string
-		for _, expr := range cc.List {
-			if id, ok := expr.(*ast.Ident); ok && want[id.Name] {
-				armName = id.Name
-			}
-		}
-		if armName == "" {
-			return true
-		}
-		touched := map[string]bool{}
-		for _, stmt := range cc.Body {
-			ast.Inspect(stmt, func(m ast.Node) bool {
-				switch s := m.(type) {
-				case *ast.IncDecStmt:
-					if sel, ok := s.X.(*ast.SelectorExpr); ok {
-						touched[sel.Sel.Name] = true
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range s.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok {
-							touched[sel.Sel.Name] = true
-						}
-					}
-				}
-				return true
-			})
-		}
-		for _, field := range c.cfg.CounterFields {
-			if !touched[field] {
-				c.reportAt(cc.Pos(), "fused-arm-uncounted", fmt.Sprintf(
-					"fused arm %s never touches counter %s: the second sub-instruction of the pair goes uncharged, breaking counter parity with the switch loop",
-					armName, field))
-			}
-		}
-		return true
-	})
 }
 
 func (c *parityCheck) reportAt(pos token.Pos, kind, msg string) {

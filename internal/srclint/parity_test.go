@@ -26,23 +26,11 @@ const (
 	xHalt
 	xAdd
 	xJump
-	xPCar
-	xPCons
-	xPredBr
 )
 
-type Machine struct {
-	Instructions int
-	Cycles       int
-}
+type dcode struct{ x xcode }
 
-type dcode struct{ op xcode }
-
-type handler func(m *Machine, d *dcode) error
-
-func (m *Machine) tick() { m.Cycles++ }
-
-func loop(m *Machine, op Op) {
+func loop(op Op) {
 	switch op {
 	case OpHalt:
 	case OpAdd:
@@ -62,87 +50,23 @@ func decodeOne(op Op) xcode {
 	return xUnknown
 }
 
-func runThreaded(m *Machine, d *dcode) {
-	switch d.op {
+func runThreaded(d *dcode) {
+	switch d.x {
 	case xHalt:
-		m.tick()
 	case xAdd:
-		m.tick()
 	case xJump:
-		m.tick()
-	case xPCar:
-		m.tick()
-	case xPCons:
-		m.tick()
-	case xPredBr:
-		m.tick()
-		m.Instructions++
-		m.Cycles++
 	}
-}
-
-func specPrim(name string) xcode {
-	switch name {
-	case "car":
-		return xPCar
-	case "cons":
-		return xPCons
-	}
-	return xcode(0)
-}
-
-func specCompute1(x xcode) {
-	switch x {
-	case xPCar:
-	}
-}
-
-func specCompute2(x xcode) {
-	switch x {
-	case xPCons:
-	}
-}
-
-func fusible(op Op) bool {
-	switch op {
-	case OpAdd:
-		return true
-	}
-	return false
-}
-
-func fuse(op Op, h handler) handler {
-	switch op {
-	case OpAdd:
-		return h
-	}
-	return nil
-}
-
-func runHandler(m *Machine, d *dcode) error {
-	m.tick()
-	return nil
 }
 `
 
 func parityCfg() ParityConfig {
 	return ParityConfig{
-		OpType:        "Op",
-		XType:         "xcode",
-		SwitchFunc:    "loop",
-		DecodeFunc:    "decodeOne",
-		ThreadedFunc:  "runThreaded",
-		DefaultX:      []string{"xUnknown"},
-		HandlerType:   "handler",
-		TickFunc:      "tick",
-		SpecFunc:      "specPrim",
-		SpecCompute1:  "specCompute1",
-		SpecCompute2:  "specCompute2",
-		Spec2First:    "xPCons",
-		FusibleFunc:   "fusible",
-		FuseFunc:      "fuse",
-		FusedArms:     []string{"xPredBr"},
-		CounterFields: []string{"Instructions", "Cycles"},
+		OpType:       "Op",
+		XType:        "xcode",
+		SwitchFunc:   "loop",
+		DecodeFunc:   "decodeOne",
+		ThreadedFunc: "runThreaded",
+		DefaultX:     []string{"xUnknown"},
 	}
 }
 
@@ -196,39 +120,9 @@ func TestParityViolations(t *testing.T) {
 		},
 		{
 			name: "missing-threaded-arm",
-			old:  "\tcase xJump:\n\t\tm.tick()\n",
-			new:  "",
+			old:  "\tcase xJump:\n\t}\n}\n",
+			new:  "\t}\n}\n",
 			kind: "missing-threaded-arm", msgHas: "xJump",
-		},
-		{
-			name: "spec-table-gap",
-			old:  "func specCompute2(x xcode) {\n\tswitch x {\n\tcase xPCons:\n\t}\n}",
-			new:  "func specCompute2(x xcode) {\n\tswitch x {\n\t}\n}",
-			kind: "spec-table-mismatch", msgHas: "xPCons",
-		},
-		{
-			name: "spec-table-gap-1arg",
-			old:  "func specCompute1(x xcode) {\n\tswitch x {\n\tcase xPCar:\n\t}\n}",
-			new:  "func specCompute1(x xcode) {\n\tswitch x {\n\t}\n}",
-			kind: "spec-table-mismatch", msgHas: "xPCar",
-		},
-		{
-			name: "fusible-without-fuse",
-			old:  "func fuse(op Op, h handler) handler {\n\tswitch op {\n\tcase OpAdd:",
-			new:  "func fuse(op Op, h handler) handler {\n\tswitch op {\n\tcase OpHalt:",
-			kind: "fusion-table-mismatch", msgHas: "OpAdd",
-		},
-		{
-			name: "handler-missing-tick",
-			old:  "func runHandler(m *Machine, d *dcode) error {\n\tm.tick()\n\treturn nil\n}",
-			new:  "func runHandler(m *Machine, d *dcode) error {\n\treturn nil\n}",
-			kind: "handler-missing-tick", msgHas: "runHandler",
-		},
-		{
-			name: "fused-arm-uncounted",
-			old:  "\t\tm.tick()\n\t\tm.Instructions++\n\t\tm.Cycles++\n",
-			new:  "\t\tm.tick()\n\t\tm.Cycles++\n",
-			kind: "fused-arm-uncounted", msgHas: "Instructions",
 		},
 	}
 	for _, tc := range cases {
@@ -249,23 +143,5 @@ func TestParityViolations(t *testing.T) {
 				t.Fatalf("no %s finding mentioning %q in %+v", tc.kind, tc.msgHas, fs)
 			}
 		})
-	}
-}
-
-// TestParityFuseDeadEntry covers the reverse fusion mismatch: an
-// installer entry the predicate never accepts.
-func TestParityFuseDeadEntry(t *testing.T) {
-	src := mutate(t, paritySrc,
-		"func fusible(op Op) bool {\n\tswitch op {\n\tcase OpAdd:",
-		"func fusible(op Op) bool {\n\tswitch op {\n\tcase OpJump:")
-	fs := checkParitySrc(t, src)
-	var dead bool
-	for _, f := range fs {
-		if f.Kind == "fusion-table-mismatch" && strings.Contains(f.Msg, "dead fusion table entry") {
-			dead = true
-		}
-	}
-	if !dead {
-		t.Fatalf("dead fusion entry not detected: %+v", fs)
 	}
 }

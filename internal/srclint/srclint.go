@@ -18,8 +18,8 @@
 //     slices, statically enforcing the "Program immutable, Machine
 //     per-run" concurrency contract.
 //   - engine-parity (parity.go): cross-checks the opcode and dispatch
-//     tables of the two execution engines, the specialized-primitive
-//     and fusion tables, and the handlers' counter/fuel accounting.
+//     tables of the two execution engines: every opcode has a case in
+//     both, and every dispatch code has an arm in the threaded loop.
 //
 // The suite is driven by cmd/lsrvet and gated in scripts/check.sh and
 // CI. See DESIGN.md §13 for what each analyzer proves and what it

@@ -3,7 +3,7 @@
 // the reference switch loop (EngineSwitch): same result value, same
 // error (including the exact pc inside FuelError and RuntimeError), and
 // byte-for-byte identical Counters. This is the guardrail that lets the
-// threaded engine fuse superinstructions and specialize primitives
+// threaded engine pre-decode instructions and specialize primitives
 // without ever changing the simulated cost-model outputs the paper's
 // tables are built from.
 //
@@ -97,8 +97,9 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// quickPrograms is the -short subset: small programs that still cover
-// every fused superinstruction shape and specialized primitive.
+// quickPrograms is the -short subset: small programs that still run
+// calls, tail calls, the allocator's save/restore and shuffle code, and
+// the common specialized primitives.
 func quickPrograms(t *testing.T) []*bench.Program {
 	var out []*bench.Program
 	for _, name := range []string{"tak", "cpstak", "deriv", "destruct"} {
@@ -123,9 +124,10 @@ func checkEssential(t *testing.T, label string, got, want *vm.Counters) {
 }
 
 // TestEngineEquivalenceFuel sweeps the step budget so execution is cut
-// off at every early pc — including inside fused runs and fused pairs —
-// and requires both engines to stop with the same *FuelError (same
-// budget, same pc) and identical counters at the point of exhaustion.
+// off at every early pc — including inside the allocator's save,
+// restore and shuffle sequences — and requires both engines to stop
+// with the same *FuelError (same budget, same pc) and identical
+// counters at the point of exhaustion.
 func TestEngineEquivalenceFuel(t *testing.T) {
 	for cfgName, opts := range equivConfigs() {
 		p, err := bench.ByName("tak")

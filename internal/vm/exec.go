@@ -4,12 +4,10 @@ package vm
 // behind Machine.Run. At first use of a Program it decodes every Instr
 // once into a flat array of operand records (dcode) — constants,
 // primitive definitions and slot kinds are resolved at decode time, and
-// each record carries a dense dispatch code plus an optional handler
-// func pointer. Single instructions dispatch through a jump table over
-// the dispatch code (an indirect call per instruction costs more than a
-// table switch in Go, so the common case stays call-free); fused
-// superinstructions (fuse.go) and the rare slow paths dispatch through
-// the handler pointer, which is also the engine's extension point.
+// each record carries a dense dispatch code. runThreaded is one table
+// switch over that code: every decoded instruction executes in exactly
+// one arm, charged by one shared accounting preamble (dispatch cycle
+// and fuel). Hot fixed-arity primitives get specialized arms (specPrim).
 //
 // The engine invariant — enforced by TestEngineEquivalence — is that
 // this engine is observably identical to the reference switch loop
@@ -18,7 +16,7 @@ package vm
 // under CountFull. Simulated cycle accounting is the reproduction's
 // measuring stick, so every dispatch arm charges the dispatch cycle,
 // memory penalties and load-use stalls in exactly the order the switch
-// loop does; fused handlers replicate the per-sub-instruction sequence.
+// loop does.
 
 import (
 	"repro/internal/prim"
@@ -46,7 +44,7 @@ type EngineKind uint8
 
 const (
 	// EngineThreaded (the default) is the pre-decoded engine in this
-	// file, with superinstruction fusion (fuse.go).
+	// file.
 	EngineThreaded EngineKind = iota
 	// EngineSwitch is the reference decode-every-step switch loop
 	// (switchloop.go), kept as the semantic baseline the differential
@@ -54,28 +52,28 @@ const (
 	EngineSwitch
 )
 
-// handler executes one fused run or slow-path instruction. It performs
-// its own step accounting (tick per sub-instruction) and pc update; a
-// nil return means "keep dispatching".
-type handler func(*Machine, *dcode) error
-
-// xcode is the dense dispatch code runThreaded switches on. xFn routes
-// through dcode.fn (fused runs and slow paths); every other value is an
-// inline arm for one opcode.
+// xcode is the dense dispatch code runThreaded switches on: one value
+// per arm, and one arm per decoded instruction.
 type xcode uint8
 
 const (
-	xFn xcode = iota
-	xHalt
+	xHalt xcode = iota
 	xEntry
 	xMove
 	xLoadConst
+	// xLoadConstSlow is OpLoadConst of a mutable constant (copied per
+	// load) or of an out-of-range pool index (which panics when it
+	// runs, as in the switch loop).
+	xLoadConstSlow
 	xLoadGlobal
 	xStoreGlobal
 	xLoadSlot
 	xStoreSlot
 	xStoreOut
 	xPrim
+	// xPrimSlow is OpPrim with an out-of-range pool index: it panics
+	// when it runs, as in the switch loop.
+	xPrimSlow
 	xClosure
 	xClosurePatch
 	xFreeRef
@@ -88,15 +86,11 @@ const (
 	xUnknown
 
 	// Specialized primitives (see specPrim): OpPrim instructions whose
-	// primitive is hot, whose arity is fixed, and whose operands are all
-	// registers get a dedicated arm that skips the argument buffer and
-	// the indirect Fn call. Each arm handles only the dominant type
-	// case and falls back to the table implementation (d.def.Fn) for
-	// everything else, so behavior — including error messages — is
-	// identical to the generic xPrim arm.
-	// One-argument specialized primitives (xPCar..xPBooleanP), then
-	// two-argument ones (xPCons..xPCharEq). spec2 and isSpecPrim rely
-	// on this ordering.
+	// primitive is hot and whose arity is fixed get a dedicated arm
+	// that skips the argument buffer and the indirect Fn call. Each arm
+	// handles only the dominant type case and falls back to the table
+	// implementation (d.def.Fn) for everything else, so behavior —
+	// including error messages — is identical to the generic xPrim arm.
 	xPCar
 	xPCdr
 	xPNullP
@@ -118,22 +112,6 @@ const (
 	xPVectorRef
 	xPStringRef
 	xPCharEq
-
-	// xPredBr is a fused predicate-primitive + branch-false pair
-	// (fuse.go): a specialized predicate whose result feeds the
-	// immediately following OpBranchFalse. The predicate kind lives in
-	// dcode.pk, the branch target in dcode.tgt.
-	xPredBr
-	// xPrimSt is a fused specialized-primitive + store-slot pair
-	// (fuse.go): the store saves the primitive's result. The primitive
-	// kind lives in dcode.pk, the slot offset in dcode.tgt, the slot
-	// kind in dcode.kind.
-	xPrimSt
-	// xHeadSt is a fused value-producer + store pair (fuse.go): a
-	// load-const, load-global or move whose result the immediately
-	// following store-slot or store-out saves. The producer kind lives
-	// in dcode.pk, the store parameters in dcode.tgt/kind/stOut/c.
-	xHeadSt
 )
 
 // specPrim maps a hot fixed-arity primitive to its specialized dispatch
@@ -193,107 +171,6 @@ func specPrim(name sexp.Symbol, regs []int) (xcode, bool) {
 	return 0, false
 }
 
-// isSpecPrim reports whether x is a specialized-primitive dispatch code.
-func isSpecPrim(x xcode) bool { return x >= xPCar && x <= xPCharEq }
-
-// spec2 reports whether specialized primitive pk takes two arguments.
-func spec2(pk xcode) bool { return pk >= xPCons }
-
-// specCompute1 computes a one-argument specialized primitive; a None
-// (zero) result means the argument was outside the fast type case and
-// the caller must fall back to the table implementation. (None itself
-// is unreachable as a primitive result: predicates yield booleans, and
-// car/cdr can only yield values a program put into a pair.) The cases
-// mirror the inline single-instruction arms in runThreaded (and through
-// them the prim table) — keep all three in step.
-func specCompute1(pk xcode, v prim.Value) prim.Value {
-	switch pk {
-	case xPCar:
-		if p, isPair := v.Pair(); isPair {
-			return p.Car
-		}
-	case xPCdr:
-		if p, isPair := v.Pair(); isPair {
-			return p.Cdr
-		}
-	case xPNullP:
-		return prim.BoolV(v.IsEmpty())
-	case xPPairP:
-		_, isPair := v.Pair()
-		return prim.BoolV(isPair)
-	case xPZeroP:
-		if n, isFix := v.Fixnum(); isFix {
-			return prim.BoolV(n == 0)
-		}
-	case xPAdd1:
-		if n, isFix := v.Fixnum(); isFix {
-			return prim.FixV(n + 1)
-		}
-	case xPSub1:
-		if n, isFix := v.Fixnum(); isFix {
-			return prim.FixV(n - 1)
-		}
-	case xPSymbolP:
-		_, isSym := v.Symbol()
-		return prim.BoolV(isSym)
-	case xPVectorP:
-		_, isVec := v.Vector()
-		return prim.BoolV(isVec)
-	case xPNumberP:
-		return prim.BoolV(v.IsNumber())
-	case xPBooleanP:
-		return prim.BoolV(v.IsBool())
-	}
-	return prim.Value{}
-}
-
-// specCompute2 is specCompute1 for the two-argument primitives. It
-// takes the machine's Ctx because cons draws its cell from the arena.
-func specCompute2(pk xcode, ctx *prim.Ctx, x, y prim.Value) prim.Value {
-	switch pk {
-	case xPCons:
-		return ctx.Cons(x, y)
-	case xPEq:
-		return prim.BoolV(prim.Eqv(x, y))
-	case xPVectorRef:
-		if vec, okv := x.Vector(); okv {
-			if i, oki := y.Fixnum(); oki && i >= 0 && int(i) < len(vec.Items) {
-				return vec.Items[i]
-			}
-		}
-	case xPStringRef:
-		if str, oks := x.Str(); oks {
-			if i, oki := y.Fixnum(); oki && i >= 0 && int(i) < len(str) {
-				return prim.CharV(rune(str[i]))
-			}
-		}
-	case xPCharEq:
-		if xc, okx := x.Char(); okx {
-			if yc, oky := y.Char(); oky {
-				return prim.BoolV(xc == yc)
-			}
-		}
-	default:
-		if xn, okx := x.Fixnum(); okx {
-			if yn, oky := y.Fixnum(); oky {
-				switch pk {
-				case xPAdd:
-					return prim.FixV(xn + yn)
-				case xPSub:
-					return prim.FixV(xn - yn)
-				case xPMul:
-					return prim.FixV(xn * yn)
-				case xPLt:
-					return prim.BoolV(xn < yn)
-				case xPNumEq:
-					return prim.BoolV(xn == yn)
-				}
-			}
-		}
-	}
-	return prim.Value{}
-}
-
 // dcode is one pre-decoded instruction: the dispatch code plus its
 // operands, resolved as far as immutability allows at decode time.
 // (An experiment that shrank the record to one cache line by moving
@@ -301,29 +178,17 @@ func specCompute2(pk xcode, ctx *prim.Ctx, x, y prim.Value) prim.Value {
 // regressed: the extra indirections in the hot prim arm cost more than
 // the smaller record saved.)
 type dcode struct {
-	x xcode
-	// pk is the pre-fusion xcode of the first instruction of a fused
-	// pair (xPredBr, xPrimSt, xHeadSt).
-	pk      xcode
+	x       xcode
 	op      Op
 	kind    SlotKind
 	predict int8
-	// stOut marks an xHeadSt record whose store is a store-out (the
-	// outgoing-argument base offset is in c) rather than a store-slot.
-	stOut   bool
 	a, b, c int
-	// tgt is the branch target of an xPredBr record.
-	tgt int
-	// fn is the handler for xFn records (fused runs, slow paths).
-	fn handler
 	// regs aliases Instr.Regs (OpPrim/OpClosure operand lists).
 	regs []int
 	// val is the pre-resolved constant for immutable OpLoadConst.
 	val prim.Value
 	// def is the pre-resolved primitive for OpPrim.
 	def *prim.Def
-	// els is the element list of a fused run (fuse.go); nil otherwise.
-	els []fusedEl
 }
 
 // engineCode is a Program's decoded form, built once and shared by
@@ -344,13 +209,12 @@ func buildEngine(p *Program) *engineCode {
 	for pc := range p.Code {
 		decodeOne(p, &p.Code[pc], &eng.code[pc])
 	}
-	fuse(p, eng.code)
 	return eng
 }
 
 // decodeOne lowers one Instr to its decoded form. Pool references are
-// resolved only when they are in range; out-of-range references get the
-// slow handler so the failure (a panic, as in the switch loop) happens
+// resolved only when they are in range; out-of-range references get a
+// slow arm so the failure (a panic, as in the switch loop) happens
 // at execution time, not at decode time — a program whose corrupt
 // instruction is never reached must run identically on both engines.
 func decodeOne(p *Program, in *Instr, d *dcode) {
@@ -371,8 +235,7 @@ func decodeOne(p *Program, in *Instr, d *dcode) {
 			d.val = p.Consts[in.B]
 			d.x = xLoadConst
 		} else {
-			d.x = xFn
-			d.fn = hLoadConstSlow
+			d.x = xLoadConstSlow
 		}
 	case OpLoadGlobal:
 		d.x = xLoadGlobal
@@ -398,8 +261,7 @@ func decodeOne(p *Program, in *Instr, d *dcode) {
 				}
 			}
 		} else {
-			d.x = xFn
-			d.fn = hPrimSlow
+			d.x = xPrimSlow
 		}
 	case OpClosure:
 		d.x = xClosure
@@ -446,20 +308,12 @@ func (m *Machine) runThreaded() (prim.Value, error) {
 			return prim.Value{}, m.errf("pc out of range")
 		}
 		d := &code[pc]
-		if d.x != xFn {
-			c.Instructions++
-			c.Cycles++
-			if c.Instructions > limit {
-				return prim.Value{}, &FuelError{Budget: m.MaxSteps, PC: pc}
-			}
+		c.Instructions++
+		c.Cycles++
+		if c.Instructions > limit {
+			return prim.Value{}, &FuelError{Budget: m.MaxSteps, PC: pc}
 		}
 		switch d.x {
-		case xFn:
-			// Fused runs and slow paths tick per sub-instruction
-			// themselves.
-			if err := d.fn(m, d); err != nil {
-				return prim.Value{}, err
-			}
 		case xHalt:
 			return m.readReg(RegRV)
 
@@ -484,6 +338,14 @@ func (m *Machine) runThreaded() (prim.Value, error) {
 
 		case xLoadConst:
 			m.writeReg(d.a, d.val)
+			m.pc++
+
+		case xLoadConstSlow:
+			v := m.prog.Consts[d.b]
+			if m.prog.ConstMutable[d.b] {
+				v = m.copyConst(v)
+			}
+			m.writeReg(d.a, v)
 			m.pc++
 
 		case xLoadGlobal:
@@ -571,12 +433,21 @@ func (m *Machine) runThreaded() (prim.Value, error) {
 			m.writeReg(d.a, res)
 			m.pc++
 
+		case xPrimSlow:
+			if err := m.applyPrim(d.a, m.prog.Prims[d.b], d.regs); err != nil {
+				return prim.Value{}, err
+			}
+			m.pc++
+
 		// Specialized primitive arms. Each mirrors the generic xPrim
 		// arm exactly — read the argument registers in order (with the
 		// same stall accounting), count the prim, produce the result,
 		// write it back — but computes the dominant type case inline
 		// and falls back to the table implementation (primFallback*)
-		// for every other case, including errors.
+		// for every other case, including errors. A None (zero) result
+		// marks the fallback case: no primitive returns None, since
+		// predicates yield booleans and car/cdr can only yield values
+		// a program put into a pair.
 		case xPCar, xPCdr, xPNullP, xPPairP, xPZeroP, xPAdd1, xPSub1,
 			xPSymbolP, xPVectorP, xPNumberP, xPBooleanP:
 			var v prim.Value
@@ -717,213 +588,6 @@ func (m *Machine) runThreaded() (prim.Value, error) {
 			m.writeReg(d.a, res)
 			m.pc++
 
-		case xPredBr:
-			// Predicate part: exactly the specialized arm for d.pk.
-			var x, y prim.Value
-			var ok bool
-			if d.b >= 0 {
-				x, ok = m.regFast(d.b)
-			}
-			if !ok {
-				var err error
-				if x, err = m.readOperand(d.b); err != nil {
-					return prim.Value{}, err
-				}
-			}
-			if d.pk == xPEq || d.pk == xPLt || d.pk == xPNumEq || d.pk == xPCharEq {
-				ok = false
-				if d.c >= 0 {
-					y, ok = m.regFast(d.c)
-				}
-				if !ok {
-					var err error
-					if y, err = m.readOperand(d.c); err != nil {
-						return prim.Value{}, err
-					}
-				}
-			}
-			if m.fine {
-				c.PrimInstrs++
-			}
-			var res prim.Value
-			switch d.pk {
-			case xPNullP:
-				res = prim.BoolV(x.IsEmpty())
-			case xPPairP:
-				_, isPair := x.Pair()
-				res = prim.BoolV(isPair)
-			case xPZeroP:
-				if n, isFix := x.Fixnum(); isFix {
-					res = prim.BoolV(n == 0)
-				}
-			case xPEq:
-				res = prim.BoolV(prim.Eqv(x, y))
-			case xPLt:
-				if xn, okx := x.Fixnum(); okx {
-					if yn, oky := y.Fixnum(); oky {
-						res = prim.BoolV(xn < yn)
-					}
-				}
-			case xPNumEq:
-				if xn, okx := x.Fixnum(); okx {
-					if yn, oky := y.Fixnum(); oky {
-						res = prim.BoolV(xn == yn)
-					}
-				}
-			case xPSymbolP:
-				_, isSym := x.Symbol()
-				res = prim.BoolV(isSym)
-			case xPVectorP:
-				_, isVec := x.Vector()
-				res = prim.BoolV(isVec)
-			case xPNumberP:
-				res = prim.BoolV(x.IsNumber())
-			case xPBooleanP:
-				res = prim.BoolV(x.IsBool())
-			case xPCharEq:
-				if xc, okx := x.Char(); okx {
-					if yc, oky := y.Char(); oky {
-						res = prim.BoolV(xc == yc)
-					}
-				}
-			}
-			if res.IsNone() {
-				var err error
-				switch d.pk {
-				case xPEq, xPLt, xPNumEq, xPCharEq:
-					res, err = m.primFallback2(d, x, y)
-				default:
-					res, err = m.primFallback1(d, x)
-				}
-				if err != nil {
-					return prim.Value{}, err
-				}
-			}
-			m.writeReg(d.a, res)
-			m.pc++
-			// Branch part: the following OpBranchFalse's dispatch
-			// accounting and branch logic. Re-reading the condition
-			// register is skipped — it was written one line up, so the
-			// read could never stall or trap.
-			c.Instructions++
-			c.Cycles++
-			if c.Instructions > limit {
-				return prim.Value{}, &FuelError{Budget: m.MaxSteps, PC: m.pc}
-			}
-			taken := !prim.Truthy(res)
-			if m.fine {
-				c.Branches++
-				if d.predict != 0 {
-					c.PredictedBranches++
-					if taken != (d.predict > 0) {
-						c.Mispredicts++
-						c.Cycles += m.cost.BranchMispredict
-					}
-				}
-			} else if d.predict != 0 && taken != (d.predict > 0) {
-				c.Cycles += m.cost.BranchMispredict
-			}
-			if taken {
-				m.pc = d.tgt
-			} else {
-				m.pc++
-			}
-
-		case xPrimSt:
-			// Primitive part: exactly the specialized arm for d.pk.
-			var x, y prim.Value
-			var ok bool
-			if d.b >= 0 {
-				x, ok = m.regFast(d.b)
-			}
-			if !ok {
-				var err error
-				if x, err = m.readOperand(d.b); err != nil {
-					return prim.Value{}, err
-				}
-			}
-			two := spec2(d.pk)
-			if two {
-				ok = false
-				if d.c >= 0 {
-					y, ok = m.regFast(d.c)
-				}
-				if !ok {
-					var err error
-					if y, err = m.readOperand(d.c); err != nil {
-						return prim.Value{}, err
-					}
-				}
-			}
-			if m.fine {
-				c.PrimInstrs++
-			}
-			var res prim.Value
-			if two {
-				res = specCompute2(d.pk, m.ctx, x, y)
-			} else {
-				res = specCompute1(d.pk, x)
-			}
-			if res.IsNone() {
-				var err error
-				if two {
-					res, err = m.primFallback2(d, x, y)
-				} else {
-					res, err = m.primFallback1(d, x)
-				}
-				if err != nil {
-					return prim.Value{}, err
-				}
-			}
-			m.writeReg(d.a, res)
-			m.pc++
-			// Store part: the following OpStoreSlot's dispatch accounting
-			// and effect. Re-reading the source register is skipped — it
-			// was written one line up, so the read could never stall or
-			// trap.
-			c.Instructions++
-			c.Cycles++
-			if c.Instructions > limit {
-				return prim.Value{}, &FuelError{Budget: m.MaxSteps, PC: m.pc}
-			}
-			m.storeSlot(m.fp+d.tgt, res, d.kind)
-			m.pc++
-
-		case xHeadSt:
-			// Producer part: exactly the single arm for d.pk.
-			var v prim.Value
-			switch d.pk {
-			case xLoadConst:
-				v = d.val
-			case xLoadGlobal:
-				v = m.globals[d.b]
-				if v.IsNone() {
-					return prim.Value{}, m.errf("unbound global %s", m.prog.GlobalNames[d.b])
-				}
-			default: // xMove
-				var ok bool
-				if v, ok = m.regFast(d.b); !ok {
-					var err error
-					if v, err = m.readReg(d.b); err != nil {
-						return prim.Value{}, err
-					}
-				}
-			}
-			m.writeReg(d.a, v)
-			m.pc++
-			// Store part, as in xPrimSt.
-			c.Instructions++
-			c.Cycles++
-			if c.Instructions > limit {
-				return prim.Value{}, &FuelError{Budget: m.MaxSteps, PC: m.pc}
-			}
-			if d.stOut {
-				m.storeSlot(m.fp+d.c+d.tgt, v, d.kind)
-			} else {
-				m.storeSlot(m.fp+d.tgt, v, d.kind)
-			}
-			m.pc++
-
 		case xClosure:
 			cl := m.ctx.AllocClosure(d.b, len(d.regs))
 			for i, r := range d.regs {
@@ -1058,45 +722,4 @@ func (m *Machine) primFallback2(d *dcode, x, y prim.Value) (prim.Value, error) {
 	args := m.argbuf[:2]
 	args[0], args[1] = x, y
 	return d.def.Fn(m.ctx, args)
-}
-
-// tick charges the dispatch cycle and the fuel meter for one
-// instruction, exactly as the dispatch loops' preambles do. Fused runs
-// and slow-path handlers call it once per sub-instruction.
-func (m *Machine) tick() error {
-	c := &m.Counters
-	c.Instructions++
-	c.Cycles++
-	if m.MaxSteps > 0 && c.Instructions > m.MaxSteps {
-		return &FuelError{Budget: m.MaxSteps, PC: m.pc}
-	}
-	return nil
-}
-
-// hLoadConstSlow handles mutable constants (copied per load) and
-// out-of-range pool references (which panic, as in the switch loop).
-func hLoadConstSlow(m *Machine, d *dcode) error {
-	if err := m.tick(); err != nil {
-		return err
-	}
-	v := m.prog.Consts[d.b]
-	if m.prog.ConstMutable[d.b] {
-		v = m.copyConst(v)
-	}
-	m.writeReg(d.a, v)
-	m.pc++
-	return nil
-}
-
-// hPrimSlow handles out-of-range primitive pool references (panics at
-// execution time, as in the switch loop).
-func hPrimSlow(m *Machine, d *dcode) error {
-	if err := m.tick(); err != nil {
-		return err
-	}
-	if err := m.applyPrim(d.a, m.prog.Prims[d.b], d.regs); err != nil {
-		return err
-	}
-	m.pc++
-	return nil
 }

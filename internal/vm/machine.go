@@ -37,7 +37,7 @@ type Machine struct {
 	// rest of the bookkeeping.
 	Counting CounterMode
 	// Engine selects the execution engine: EngineThreaded (default,
-	// pre-decoded handlers with superinstruction fusion) or
+	// pre-decoded dispatch with one table arm per instruction) or
 	// EngineSwitch (the reference decode-every-step loop). Both are
 	// observably identical; see exec.go.
 	Engine EngineKind
@@ -321,9 +321,9 @@ func (m *Machine) collectArgs(argc, newFP int) ([]prim.Value, error) {
 }
 
 // applyPrim applies an open-coded primitive: it reads the encoded
-// operands, invokes def and stores the result in register dst. Both
-// engines call it (the threaded engine with the definition resolved at
-// decode time).
+// operands, invokes def and stores the result in register dst. The
+// switch loop calls it for every OpPrim; the threaded engine inlines it
+// in its xPrim arm and calls it only from the xPrimSlow arm.
 func (m *Machine) applyPrim(dst int, def *prim.Def, regs []int) error {
 	if cap(m.argbuf) < len(regs) {
 		m.argbuf = make([]prim.Value, len(regs))

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -247,6 +249,66 @@ func TestMutableConstCopied(t *testing.T) {
 	v, _ := runProgram(t, p)
 	if v != prim.BoolV(false) {
 		t.Errorf("pair constants should be copied per load, got %v", v)
+	}
+}
+
+// TestCorruptPoolFailsWhenRun pins decodeOne's contract for an
+// out-of-range OpLoadConst or OpPrim pool index: decoding succeeds, a
+// corrupt instruction that is never reached leaves both engines with
+// the same value and Counters, and one that is reached panics on both
+// engines (as the switch loop's pool index does) with the same Counters
+// and pc. The reached path also loads a mutable constant, so the
+// copy-per-load arm runs on both engines.
+func TestCorruptPoolFailsWhenRun(t *testing.T) {
+	s0 := DefaultConfig().ScratchReg(0)
+	corrupt := map[string]Instr{
+		"const": {Op: OpLoadConst, A: RegRV, B: 99},
+		"prim":  {Op: OpPrim, A: RegRV, B: 99, Regs: []int{s0}},
+	}
+	run := func(p *Program, eng EngineKind) (res string, panicked bool, m *Machine) {
+		m = New(p, nil)
+		m.Engine = eng
+		defer func() {
+			if recover() != nil {
+				panicked = true
+			}
+		}()
+		v, err := m.Run()
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return prim.WriteString(v), false, m
+	}
+	for name, bad := range corrupt {
+		for _, reached := range []bool{false, true} {
+			p := asm(
+				Instr{Op: OpLoadConst, A: s0, B: 0},    // pc 2: #t iff reached
+				Instr{Op: OpBranchFalse, A: s0, B: 5},  // pc 3
+				bad,                                    // pc 4
+				Instr{Op: OpLoadConst, A: RegRV, B: 1}, // pc 5: mutable constant
+				Instr{Op: OpReturn},
+			)
+			_, p = p.withConst(prim.BoolV(reached))
+			p.Consts = append(p.Consts, prim.PairV(&prim.Pair{Car: prim.FixV(1), Cdr: prim.FixV(2)}))
+			p.ConstMutable = append(p.ConstMutable, true)
+			p.withPrim("car")
+
+			resT, panT, mT := run(p, EngineThreaded)
+			resS, panS, mS := run(p, EngineSwitch)
+			label := fmt.Sprintf("%s/reached=%v", name, reached)
+			if panT != reached || panS != reached {
+				t.Errorf("%s: panicked threaded=%v switch=%v", label, panT, panS)
+			}
+			if resT != resS || (!reached && resT != "(1 . 2)") {
+				t.Errorf("%s: result threaded=%q switch=%q", label, resT, resS)
+			}
+			if mT.pc != mS.pc {
+				t.Errorf("%s: pc threaded=%d switch=%d", label, mT.pc, mS.pc)
+			}
+			if !reflect.DeepEqual(mT.Counters, mS.Counters) {
+				t.Errorf("%s: counter mismatch\nthreaded: %+v\nswitch:   %+v", label, mT.Counters, mS.Counters)
+			}
+		}
 	}
 }
 
