@@ -116,6 +116,13 @@ type Program struct {
 	Body Expr
 	// NumVars is one more than the largest Var.ID in the program.
 	NumVars int
+	// NumTmps is the number of names the expander generated (%do.N
+	// and the like), so a program parsed after this one numbers its own
+	// from NumTmps+1.
+	NumTmps int
+	// exprs are the top-level expressions Body sequences, kept so a
+	// program parsed after this one can sequence its own after them.
+	exprs []Expr
 }
 
 // Unspecified is the constant produced by one-armed ifs and empty bodies.

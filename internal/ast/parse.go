@@ -72,9 +72,18 @@ func (p *parser) gensym(stem string) sexp.Symbol {
 // become Defs; remaining expressions are sequenced into the body. The
 // value of the last body expression is the program result.
 func ParseProgram(forms []sexp.Datum) (*Program, error) {
-	p := &parser{env: env{vars: map[sexp.Symbol]*Var{}}}
-	prog := &Program{}
-	var body []Expr
+	return ParseProgramAfter(&Program{}, forms)
+}
+
+// ParseProgramAfter parses forms as the continuation of lib: the result
+// is the program that lib's forms followed by forms parse to. Variable
+// IDs and generated names carry on from lib's, lib's definitions come
+// first and its top-level expressions run before forms' own. lib is
+// only read, and the result shares its definitions.
+func ParseProgramAfter(lib *Program, forms []sexp.Datum) (*Program, error) {
+	p := &parser{nextVar: lib.NumVars, nextTmp: lib.NumTmps, env: env{vars: map[sexp.Symbol]*Var{}}}
+	prog := &Program{Defs: lib.Defs[:len(lib.Defs):len(lib.Defs)]}
+	body := lib.exprs[:len(lib.exprs):len(lib.exprs)]
 	for _, f := range forms {
 		if name, rhs, ok := splitDefine(f); ok {
 			e, err := p.parse(rhs, string(name))
@@ -98,7 +107,9 @@ func ParseProgram(forms []sexp.Datum) (*Program, error) {
 	default:
 		prog.Body = &Begin{Exprs: body}
 	}
+	prog.exprs = body
 	prog.NumVars = p.nextVar
+	prog.NumTmps = p.nextTmp
 	return prog, nil
 }
 

@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -289,5 +290,51 @@ func TestVarIDsUnique(t *testing.T) {
 	}
 	if prog.NumVars < 3 {
 		t.Errorf("NumVars = %d", prog.NumVars)
+	}
+}
+
+// TestParseProgramAfter: parsing a program's forms after a library
+// equals parsing the library's forms and the program's together —
+// variable IDs, generated names and body order included — and leaves
+// the library as it was.
+func TestParseProgramAfter(t *testing.T) {
+	libSrc := `(define (count n) (do ((i 0 (+ i 1))) ((= i n) i)))
+(define (pick x) (or x (case x ((1) 'one) (else 'other))))
+(display "lib")`
+	userSrc := `(define (loop n) (do ((j n (- j 1))) ((zero? j) 'done)))
+(define (f x) (or x (cond [(assv x '((1 . 2))) => cdr] [else #f])))
+(f (loop 3))`
+	libForms, err := sexp.ReadAll(libSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	userForms, err := sexp.ReadAll(userSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := ParseProgram(libForms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	libText := PrintProgram(lib)
+	got, err := ParseProgramAfter(lib, userForms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ParseProgram(append(libForms, userForms...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := PrintProgram(got), PrintProgram(want); g != w {
+		t.Fatalf("ParseProgramAfter:\n%s\nwant:\n%s", g, w)
+	}
+	if got.NumVars != want.NumVars || got.NumTmps != want.NumTmps {
+		t.Fatalf("counters %d/%d, want %d/%d", got.NumVars, got.NumTmps, want.NumVars, want.NumTmps)
+	}
+	if !strings.Contains(PrintProgram(got), fmt.Sprintf("%%do.%d", lib.NumTmps+1)) {
+		t.Fatalf("the program's do loop should be numbered after the library's:\n%s", PrintProgram(got))
+	}
+	if PrintProgram(lib) != libText || len(lib.Defs) != 2 {
+		t.Fatal("ParseProgramAfter changed the library")
 	}
 }

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"maps"
 	"os"
 
 	"repro/internal/ir"
@@ -12,7 +13,6 @@ import (
 // codegen holds program-wide compilation state.
 type codegen struct {
 	opts   Options
-	prog   *ir.Program
 	code   []vm.Instr
 	consts []prim.Value
 	// constIdx dedups comparable constants.
@@ -22,51 +22,59 @@ type codegen struct {
 	unspec   int
 	stats    Stats
 	shuffles []vm.ShuffleRecord
+	procs    []vm.ProcInfo
 }
 
 // Compile lowers an IR program to VM code under the given options. The
 // IR is annotated in place (variable locations, shuffle plans, save
 // sets), so a fresh IR must be built per compilation.
-func Compile(prog *ir.Program, opts Options) (compiled *vm.Program, stats Stats, err error) {
-	if verr := opts.Config.Validate(); verr != nil {
-		return nil, Stats{}, verr
+func Compile(prog *ir.Program, opts Options) (*vm.Program, Stats, error) {
+	pre, err := NewPrefix(nil, opts)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	cg := &codegen{
+	return pre.Link(prog)
+}
+
+// A Prefix is the code generator's state after emitting the first
+// procedures of a program (the prelude's): the code from address 0,
+// the constant and primitive pools, the shuffle records and the Stats.
+// The allocator is intraprocedural, so those procedures compile the
+// same whatever follows them, and a program whose first procedures
+// they are is compiled by resuming from a copy of this state (Link). A
+// Prefix is immutable, and safe for concurrent use.
+type Prefix struct {
+	cg codegen
+}
+
+// NewPrefix emits procs as a program's first procedures under opts,
+// annotating them in place.
+func NewPrefix(procs []*ir.Proc, opts Options) (*Prefix, error) {
+	if err := opts.Config.Validate(); err != nil {
+		return nil, err
+	}
+	pre := &Prefix{cg: codegen{
 		opts:     opts,
-		prog:     prog,
 		constIdx: map[prim.Value]int{},
 		primIdx:  map[*prim.Def]int{},
 		unspec:   -1,
+	}}
+	pre.cg.emit(vm.Instr{Op: vm.OpHalt}) // code[0]: where main returns
+	if err := pre.cg.emitProcs(procs); err != nil {
+		return nil, err
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if os.Getenv("CODEGEN_DEBUG") != "" {
-				panic(r)
-			}
-			err = fmt.Errorf("codegen: internal error: %v", r)
-		}
-	}()
+	return pre, nil
+}
 
-	cg.emit(vm.Instr{Op: vm.OpHalt}) // code[0]: where main returns
-
-	procs := make([]vm.ProcInfo, len(prog.Procs))
-	for i, p := range prog.Procs {
-		entry := cg.emitProc(p)
-		procs[i] = vm.ProcInfo{
-			Name:           p.Name,
-			Entry:          entry,
-			NArgs:          len(p.Params),
-			NFree:          p.NFree,
-			SyntacticLeaf:  p.SyntacticLeaf,
-			CallInevitable: p.CallInevitable,
-		}
-		cg.stats.Procs++
-		if p.SyntacticLeaf {
-			cg.stats.SyntacticLeaves++
-		}
-		if p.CallInevitable {
-			cg.stats.CallInevitable++
-		}
+// Link compiles prog, whose first procedures are the ones the prefix
+// was built from, under the prefix's options: it emits only the
+// remaining procedures, after the prefix's code. The result equals
+// Compile(prog, opts) and shares nothing with the prefix or with any
+// other linked program.
+func (pre *Prefix) Link(prog *ir.Program) (*vm.Program, Stats, error) {
+	cg := pre.cg.clone()
+	if err := cg.emitProcs(prog.Procs[len(cg.procs):]); err != nil {
+		return nil, Stats{}, err
 	}
 	cg.stats.Instructions = len(cg.code)
 
@@ -80,14 +88,84 @@ func Compile(prog *ir.Program, opts Options) (compiled *vm.Program, stats Stats,
 		Consts:       cg.consts,
 		ConstMutable: constMutable,
 		Prims:        cg.prims,
-		Procs:        procs,
+		Procs:        cg.procs,
 		MainIndex:    prog.MainIndex,
 		GlobalNames:  prog.GlobalNames,
 		PrimGlobals:  prog.PrimGlobals,
-		Config:       opts.Config,
+		Config:       cg.opts.Config,
 		Shuffles:     cg.shuffles,
 	}
 	return out, cg.stats, nil
+}
+
+// emitProcs compiles procs in order, appending their code and metadata.
+// An allocator panic becomes an error.
+func (cg *codegen) emitProcs(procs []*ir.Proc) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if os.Getenv("CODEGEN_DEBUG") != "" {
+				panic(r)
+			}
+			err = fmt.Errorf("codegen: internal error: %v", r)
+		}
+	}()
+	for _, p := range procs {
+		entry := cg.emitProc(p)
+		cg.procs = append(cg.procs, vm.ProcInfo{
+			Name:           p.Name,
+			Entry:          entry,
+			NArgs:          len(p.Params),
+			NFree:          p.NFree,
+			SyntacticLeaf:  p.SyntacticLeaf,
+			CallInevitable: p.CallInevitable,
+		})
+		cg.stats.Procs++
+		if p.SyntacticLeaf {
+			cg.stats.SyntacticLeaves++
+		}
+		if p.CallInevitable {
+			cg.stats.CallInevitable++
+		}
+	}
+	return nil
+}
+
+// clone copies the state deeply enough that emitting into the copy,
+// or writing to any part of the program it produces, leaves cg alone.
+func (cg *codegen) clone() *codegen {
+	c := *cg
+	// Leave room for the linked program's own code.
+	c.code = make([]vm.Instr, len(cg.code), 2*len(cg.code))
+	copy(c.code, cg.code)
+	nregs := 0
+	for _, in := range cg.code {
+		nregs += len(in.Regs)
+	}
+	regs := make([]int, 0, nregs)
+	for i, in := range cg.code {
+		if in.Regs != nil {
+			regs = append(regs, in.Regs...)
+			c.code[i].Regs = regs[len(regs)-len(in.Regs) : len(regs) : len(regs)]
+		}
+	}
+	c.consts = append([]prim.Value(nil), cg.consts...)
+	c.constIdx = maps.Clone(cg.constIdx)
+	c.prims = append([]*prim.Def(nil), cg.prims...)
+	c.primIdx = maps.Clone(cg.primIdx)
+	c.procs = append([]vm.ProcInfo(nil), cg.procs...)
+	c.shuffles = append([]vm.ShuffleRecord(nil), cg.shuffles...)
+	nassigns := 0
+	for _, r := range cg.shuffles {
+		nassigns += len(r.Assigns)
+	}
+	assigns := make([]vm.ShuffleAssign, 0, nassigns)
+	for i, r := range cg.shuffles {
+		if r.Assigns != nil {
+			assigns = append(assigns, r.Assigns...)
+			c.shuffles[i].Assigns = assigns[len(assigns)-len(r.Assigns) : len(assigns) : len(assigns)]
+		}
+	}
+	return &c
 }
 
 func (cg *codegen) emit(in vm.Instr) { cg.code = append(cg.code, in) }

@@ -1,7 +1,8 @@
 // Package compiler is the end-to-end pipeline: source text → reader →
 // macro expansion → assignment conversion → closure conversion →
 // register allocation → VM code. It is the internal engine behind the
-// public lsr package.
+// public lsr package. The prelude goes through the pipeline once per
+// process and options key, and programs are linked after it (link.go).
 package compiler
 
 import (
@@ -14,6 +15,7 @@ import (
 	"repro/internal/passes"
 	"repro/internal/prelude"
 	"repro/internal/prim"
+	"repro/internal/sexp"
 	"repro/internal/verify"
 	"repro/internal/vm"
 )
@@ -34,32 +36,28 @@ func DefaultOptions() Options {
 // Compiled bundles the results of a compilation.
 type Compiled struct {
 	Program *vm.Program
-	IR      *irProgramAlias
 	Stats   codegen.Stats
 	// Lint is the optimality analyzer's report (nil unless Options.Lint).
 	Lint *analysis.Report
 }
 
-// irProgramAlias avoids exporting internal/ir in the public surface
-// while letting internal callers reach the IR for dumps.
-type irProgramAlias = irProgram
-
-// Compile compiles source text.
+// Compile compiles source text. A program is linked after the
+// prelude's precompiled code unless it defines or assigns a name that
+// code depends on, in which case it is compiled whole; either way the
+// result is the same program (see link.go). The verifier and the lint
+// check the whole program.
 func Compile(src string, opts Options) (*Compiled, error) {
-	full := src
-	if !opts.NoPrelude {
-		full = prelude.Source + "\n" + src
-	}
-	prog, err := ast.ParseString(full)
+	prog, err := parse(src, opts.NoPrelude)
 	if err != nil {
 		return nil, err
 	}
-	converted := passes.AssignConvert(prog)
-	irProg, err := passes.ClosureConvert(converted)
-	if err != nil {
-		return nil, err
+	var code *vm.Program
+	var stats codegen.Stats
+	if opts.NoPrelude {
+		code, stats, err = compileWhole(prog, opts.Options)
+	} else {
+		code, stats, err = link(prog, opts.Options)
 	}
-	code, stats, err := codegen.Compile(irProg, opts.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -68,11 +66,37 @@ func Compile(src string, opts Options) (*Compiled, error) {
 			return nil, verr
 		}
 	}
-	c := &Compiled{Program: code, IR: irProg, Stats: stats}
+	c := &Compiled{Program: code, Stats: stats}
 	if opts.Lint {
 		c.Lint = analysis.Analyze(code)
 	}
 	return c, nil
+}
+
+// parse reads src and expands it, after the prelude unless noPrelude.
+// The reader sees src alone, so error positions are src's own.
+func parse(src string, noPrelude bool) (*ast.Program, error) {
+	forms, err := sexp.ReadAll(src)
+	if err != nil {
+		return nil, err
+	}
+	if noPrelude {
+		return ast.ParseProgram(forms)
+	}
+	pl, err := loadPrelude()
+	if err != nil {
+		return nil, err
+	}
+	return ast.ParseProgramAfter(pl.ast, forms)
+}
+
+// compileWhole compiles prog, prelude and all, from its AST.
+func compileWhole(prog *ast.Program, opts codegen.Options) (*vm.Program, codegen.Stats, error) {
+	irProg, err := passes.ClosureConvert(passes.AssignConvert(prog))
+	if err != nil {
+		return nil, codegen.Stats{}, err
+	}
+	return codegen.Compile(irProg, opts)
 }
 
 // DefaultFuel is the step budget Run and RunValidated attach to every
@@ -112,13 +136,21 @@ func RunValidated(src string, opts Options, out io.Writer) (prim.Value, *vm.Coun
 }
 
 // Interpret evaluates source with the reference interpreter (the
-// differential-testing oracle).
+// differential-testing oracle). It reads and expands the prelude afresh
+// on every call and shares nothing with the compiler's cached prelude.
 func Interpret(src string, noPrelude bool, out io.Writer) (prim.Value, error) {
-	full := src
-	if !noPrelude {
-		full = prelude.Source + "\n" + src
+	forms, err := sexp.ReadAll(src)
+	if err != nil {
+		return prim.Value{}, err
 	}
-	prog, err := ast.ParseString(full)
+	if !noPrelude {
+		lib, err := sexp.ReadAll(prelude.Source)
+		if err != nil {
+			return prim.Value{}, err
+		}
+		forms = append(lib, forms...)
+	}
+	prog, err := ast.ParseProgram(forms)
 	if err != nil {
 		return prim.Value{}, err
 	}

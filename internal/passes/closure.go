@@ -15,27 +15,71 @@ import (
 // and calls to primitive names that the program does not shadow are
 // open-coded as ir.PrimCall.
 func ClosureConvert(p *ast.Program) (*ir.Program, error) {
-	cc := &closureConverter{
-		globalIdx:   map[sexp.Symbol]int{},
-		userDefined: map[sexp.Symbol]bool{},
-	}
-	for _, d := range p.Defs {
-		cc.userDefined[d.Name] = true
-	}
-	scanGlobalSets(p.Body, cc.userDefined)
-	for _, d := range p.Defs {
-		scanGlobalSets(d.Rhs, cc.userDefined)
-	}
+	return (&Library{}).Link(p)
+}
 
+// A Library is the closure conversion of the first definitions of
+// every program linked after it (the prelude): its procedures, the
+// main-level code that installs them, and the global table the
+// programs resolve their names against. Converting a program's
+// remaining definitions and body after it (Link) gives the IR that
+// ClosureConvert gives for the whole program, provided the program
+// does not change what the library's conversion assumed (Links).
+type Library struct {
+	// Procs are the library's procedures; a linked program's Procs
+	// begin with them.
+	Procs []*ir.Proc
+	// init is the main-level code of the library's definitions. The
+	// allocator annotates IR in place, so Link gives each program its
+	// own copy.
+	init []ir.Expr
+	// conv is the converter's state after the library, which Link
+	// resumes from a copy of.
+	conv closureConverter
+}
+
+// ConvertLibrary closure-converts defs (assignment-converted) as the
+// first definitions of a program.
+func ConvertLibrary(defs []ast.Def) (*Library, error) {
+	cc := newConverter(&Library{}, defs, nil)
+	cc.assumed = map[sexp.Symbol]bool{}
 	main := &procConverter{cc: cc, locals: map[*ast.Var]*ir.Var{}}
-	var seq []ir.Expr
-	for _, d := range p.Defs {
-		rhs, err := main.convert(d.Rhs, false)
-		if err != nil {
-			return nil, err
-		}
-		seq = append(seq, &ir.GlobalSet{Index: cc.globalIndex(d.Name), Name: d.Name, Rhs: rhs})
+	init, err := main.convertDefs(defs)
+	if err != nil {
+		return nil, err
 	}
+	return &Library{Procs: cc.procs, init: init, conv: *cc}, nil
+}
+
+// Links reports whether p, a program's definitions and body after the
+// library's, leaves every name the library's conversion assumed
+// undefined alone, so that Link converts it exactly.
+func (l *Library) Links(p *ast.Program) bool {
+	for name := range globalsWritten(p.Defs, p.Body) {
+		if l.conv.assumed[name] {
+			return false
+		}
+	}
+	return true
+}
+
+// Link closure-converts p, a program's definitions and body after the
+// library's (assignment-converted), into the whole program's IR: the
+// library's procedures, then p's, then main. It is exact when
+// l.Links(p); the library's procedures are shared, not copied.
+func (l *Library) Link(p *ast.Program) (*ir.Program, error) {
+	cc := newConverter(l, p.Defs, p.Body)
+	main := &procConverter{cc: cc, locals: map[*ast.Var]*ir.Var{}}
+	seq := make([]ir.Expr, len(l.init), len(l.init)+len(p.Defs)+1)
+	vars := map[*ir.Var]*ir.Var{}
+	for i, e := range l.init {
+		seq[i] = copyExpr(e, vars)
+	}
+	defs, err := main.convertDefs(p.Defs)
+	if err != nil {
+		return nil, err
+	}
+	seq = append(seq, defs...)
 	body, err := main.convert(p.Body, true)
 	if err != nil {
 		return nil, err
@@ -61,6 +105,57 @@ func ClosureConvert(p *ast.Program) (*ir.Program, error) {
 		UserGlobals: cc.userGlobals,
 	}
 	return prog, nil
+}
+
+// newConverter starts a conversion of defs and body after l, with its
+// own copy of l's tables.
+func newConverter(l *Library, defs []ast.Def, body ast.Expr) *closureConverter {
+	lc := &l.conv
+	cc := &closureConverter{
+		procs:       lc.procs[:len(lc.procs):len(lc.procs)],
+		globalIdx:   make(map[sexp.Symbol]int, len(lc.globalIdx)),
+		globalNames: append([]sexp.Symbol(nil), lc.globalNames...),
+		primGlobals: append([]*prim.Def(nil), lc.primGlobals...),
+		userGlobals: append([]bool(nil), lc.userGlobals...),
+		userDefined: globalsWritten(defs, body),
+	}
+	for name, i := range lc.globalIdx {
+		cc.globalIdx[name] = i
+	}
+	for name := range lc.userDefined {
+		cc.userDefined[name] = true
+	}
+	return cc
+}
+
+// globalsWritten is the set of global names defs define and defs or
+// body assign (body may be nil).
+func globalsWritten(defs []ast.Def, body ast.Expr) map[sexp.Symbol]bool {
+	out := map[sexp.Symbol]bool{}
+	for _, d := range defs {
+		out[d.Name] = true
+	}
+	if body != nil {
+		scanGlobalSets(body, out)
+	}
+	for _, d := range defs {
+		scanGlobalSets(d.Rhs, out)
+	}
+	return out
+}
+
+// convertDefs converts top-level definitions into main-level global
+// stores, in order.
+func (pc *procConverter) convertDefs(defs []ast.Def) ([]ir.Expr, error) {
+	out := make([]ir.Expr, len(defs))
+	for i, d := range defs {
+		rhs, err := pc.convert(d.Rhs, false)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = &ir.GlobalSet{Index: pc.cc.globalIndex(d.Name), Name: d.Name, Rhs: rhs}
+	}
+	return out, nil
 }
 
 // scanGlobalSets records every global name the program assigns, so that
@@ -107,6 +202,25 @@ type closureConverter struct {
 	primGlobals []*prim.Def
 	userGlobals []bool
 	userDefined map[sexp.Symbol]bool
+	// assumed, when non-nil (converting a library), collects the names
+	// isUserDefined answered false for: whether a call is open-coded,
+	// whether call/cc is compiled specially, and a global cell's
+	// UserGlobals entry. A program that defines or assigns one of them
+	// would have changed the library's IR.
+	assumed map[sexp.Symbol]bool
+}
+
+// isUserDefined reports whether the program defines or assigns name.
+// Every decision the conversion makes on a global name's status goes
+// through here, so a library's conversion can record what it assumed.
+func (cc *closureConverter) isUserDefined(name sexp.Symbol) bool {
+	if cc.userDefined[name] {
+		return true
+	}
+	if cc.assumed != nil {
+		cc.assumed[name] = true
+	}
+	return false
 }
 
 func (cc *closureConverter) globalIndex(name sexp.Symbol) int {
@@ -117,14 +231,14 @@ func (cc *closureConverter) globalIndex(name sexp.Symbol) int {
 	cc.globalIdx[name] = i
 	cc.globalNames = append(cc.globalNames, name)
 	cc.primGlobals = append(cc.primGlobals, prim.Lookup(name))
-	cc.userGlobals = append(cc.userGlobals, cc.userDefined[name])
+	cc.userGlobals = append(cc.userGlobals, cc.isUserDefined(name))
 	return i
 }
 
 // openCodable reports whether a call to the global name can be compiled
 // as a primitive application.
 func (cc *closureConverter) openCodable(name sexp.Symbol) *prim.Def {
-	if cc.userDefined[name] {
+	if cc.isUserDefined(name) {
 		return nil
 	}
 	return prim.Lookup(name)
@@ -307,7 +421,7 @@ func (pc *procConverter) convertCall(t *ast.Call, tail bool) (ir.Expr, error) {
 	if g, ok := t.Fn.(*ast.GlobalRef); ok {
 		// call/cc is compiled specially unless the program shadows it.
 		if (g.Name == "call/cc" || g.Name == "call-with-current-continuation") &&
-			!pc.cc.userDefined[g.Name] && len(t.Args) == 1 {
+			len(t.Args) == 1 && !pc.cc.isUserDefined(g.Name) {
 			fn, err := pc.convert(t.Args[0], false)
 			if err != nil {
 				return nil, err
@@ -342,4 +456,64 @@ func (pc *procConverter) convertCall(t *ast.Call, tail bool) (ir.Expr, error) {
 		args[i] = conv
 	}
 	return &ir.Call{Fn: fn, Args: args, Tail: tail}, nil
+}
+
+// copyExpr deep-copies unannotated main-level IR, giving each variable
+// bound in it a fresh ir.Var (recorded in vars).
+func copyExpr(e ir.Expr, vars map[*ir.Var]*ir.Var) ir.Expr {
+	switch t := e.(type) {
+	case *ir.Const:
+		return &ir.Const{Value: t.Value}
+	case *ir.VarRef:
+		return &ir.VarRef{Var: vars[t.Var]}
+	case *ir.FreeRef:
+		return &ir.FreeRef{Index: t.Index, Name: t.Name}
+	case *ir.GlobalRef:
+		return &ir.GlobalRef{Index: t.Index, Name: t.Name}
+	case *ir.GlobalSet:
+		return &ir.GlobalSet{Index: t.Index, Name: t.Name, Rhs: copyExpr(t.Rhs, vars)}
+	case *ir.If:
+		return &ir.If{Test: copyExpr(t.Test, vars), Then: copyExpr(t.Then, vars), Else: copyExpr(t.Else, vars)}
+	case *ir.Seq:
+		return &ir.Seq{Exprs: copyExprs(t.Exprs, vars)}
+	case *ir.Bind:
+		v := copyVar(t.Var, vars)
+		return &ir.Bind{Var: v, Rhs: copyExpr(t.Rhs, vars), Body: copyExpr(t.Body, vars)}
+	case *ir.PrimCall:
+		return &ir.PrimCall{Def: t.Def, Args: copyExprs(t.Args, vars)}
+	case *ir.Call:
+		return &ir.Call{Fn: copyExpr(t.Fn, vars), Args: copyExprs(t.Args, vars), Tail: t.Tail, CallCC: t.CallCC}
+	case *ir.MakeClosure:
+		return copyClosure(t, vars)
+	case *ir.Fix:
+		fix := &ir.Fix{Vars: make([]*ir.Var, len(t.Vars)), Closures: make([]*ir.MakeClosure, len(t.Closures)), SaveVars: make([]bool, len(t.Vars))}
+		for i, v := range t.Vars {
+			fix.Vars[i] = copyVar(v, vars)
+		}
+		for i, c := range t.Closures {
+			fix.Closures[i] = copyClosure(c, vars)
+		}
+		fix.Body = copyExpr(t.Body, vars)
+		return fix
+	default:
+		panic(fmt.Sprintf("passes: copyExpr: unexpected expression %T", e))
+	}
+}
+
+func copyExprs(es []ir.Expr, vars map[*ir.Var]*ir.Var) []ir.Expr {
+	out := make([]ir.Expr, len(es))
+	for i, e := range es {
+		out[i] = copyExpr(e, vars)
+	}
+	return out
+}
+
+func copyClosure(c *ir.MakeClosure, vars map[*ir.Var]*ir.Var) *ir.MakeClosure {
+	return &ir.MakeClosure{ProcIndex: c.ProcIndex, Free: copyExprs(c.Free, vars)}
+}
+
+func copyVar(v *ir.Var, vars map[*ir.Var]*ir.Var) *ir.Var {
+	nv := &ir.Var{Name: v.Name, SaveSlot: -1, CSReg: -1}
+	vars[v] = nv
+	return nv
 }

@@ -1,11 +1,13 @@
 package passes
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
+	"repro/internal/sexp"
 )
 
 func mustProgram(t *testing.T, src string) *ast.Program {
@@ -248,5 +250,99 @@ func TestHasCalls(t *testing.T) {
 	// tail-only's call is a tail call: not a call for leaf purposes.
 	if ir.HasCalls(byName["tail-only"].Body) {
 		t.Error("a lone tail call should not count as a call")
+	}
+}
+
+// linkParts converts libSrc as a library and userSrc after it, and
+// userSrc's whole program, returning the linked and whole IR.
+func linkParts(t *testing.T, libSrc, userSrc string) (*Library, *ast.Program, *ir.Program) {
+	t.Helper()
+	libForms, err := sexp.ReadAll(libSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	userForms, err := sexp.ReadAll(userSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	libProg, err := ast.ParseProgram(libForms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := ConvertLibrary(AssignConvert(libProg).Defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ast.ParseProgramAfter(libProg, userForms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := ClosureConvert(AssignConvert(prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	user := &ast.Program{Defs: prog.Defs[len(libProg.Defs):], Body: prog.Body, NumVars: prog.NumVars}
+	return lib, user, whole
+}
+
+func printIR(p *ir.Program) string {
+	var b strings.Builder
+	for _, proc := range p.Procs {
+		b.WriteString(ir.PrintProc(proc))
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "main=%d globals=%v prims=%v user=%v\n", p.MainIndex, p.GlobalNames, p.PrimGlobals, p.UserGlobals)
+	return b.String()
+}
+
+// TestLinkEqualsWholeProgram: a program linked after a library whose
+// definitions bind locals, capture them, box an assigned one and build
+// a letrec at the top level converts exactly as the whole program does,
+// and gets its own copy of the library's main-level code.
+func TestLinkEqualsWholeProgram(t *testing.T) {
+	libSrc := `(define counter (let ([n 0]) (lambda () n)))
+(define acc (let ([s 0]) (lambda (x) (set! s (+ s x)) s)))
+(define evens (letrec ([ev? (lambda (n) (if (zero? n) #t (od? (- n 1))))]
+                       [od? (lambda (n) (if (zero? n) #f (ev? (- n 1))))])
+                ev?))
+(define table '(1 2 3))
+(define (first l) (car l))`
+	userSrc := `(define (g x) (first (list x (counter) (acc x) (evens 4) table)))
+(g (call/cc (lambda (k) (k 1))))`
+	lib, user, whole := linkParts(t, libSrc, userSrc)
+	if !lib.Links(AssignConvert(user)) {
+		t.Fatal("a program that shadows nothing should link")
+	}
+	linked, err := lib.Link(AssignConvert(user))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := printIR(linked), printIR(whole); g != w {
+		t.Fatalf("linked:\n%s\nwhole:\n%s", g, w)
+	}
+	for i, e := range linked.Procs[linked.MainIndex].Body.(*ir.Seq).Exprs[:len(lib.init)] {
+		if e == lib.init[i] {
+			t.Fatalf("main-level definition %d is shared with the library", i)
+		}
+	}
+}
+
+// TestLinksRejectsAssumedNames: defining or assigning a primitive name
+// the library open-codes fails the link test; redefining a library
+// procedure or an unrelated name does not.
+func TestLinksRejectsAssumedNames(t *testing.T) {
+	libSrc := `(define (first l) (car l))
+(define (len l) (if (null? l) 0 (+ 1 (len (cdr l)))))`
+	for src, want := range map[string]bool{
+		"(define (car x) x) (first '(1))":      false,
+		"(set! null? (lambda (x) #t)) (len 1)": false,
+		"(define (first l) 0) (first '(1))":    true,
+		"(define (cadr l) 0) (set! len cadr)":  true,
+		"(define (vector-ref v i) 0) 1":        true,
+	} {
+		lib, user, _ := linkParts(t, libSrc, src)
+		if got := lib.Links(user); got != want {
+			t.Errorf("%s: Links = %v, want %v", src, got, want)
+		}
 	}
 }

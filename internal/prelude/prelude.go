@@ -1,9 +1,13 @@
 // Package prelude holds the Scheme-level run-time library. Primitives
 // (package prim) are deliberately first-order, so the classic
-// higher-order and list-walking procedures live here and are compiled or
-// interpreted exactly like user code — which is also how Chez Scheme
-// builds its own library, and is what makes library calls show up in the
-// dynamic call-graph statistics of the paper's Table 2.
+// higher-order and list-walking procedures live here, written in Scheme
+// and run as ordinary procedures, which is what makes library calls
+// show up in the dynamic call-graph statistics of the paper's Table 2.
+// The interpreter expands Source in front of every program. The
+// compiler compiles it once per code-affecting options key, as Chez
+// Scheme builds its own library, and links each program after that
+// code (internal/compiler); the result is the code compiling Source and
+// the program as one text gives.
 package prelude
 
 import (
@@ -29,7 +33,9 @@ var (
 	version     string
 )
 
-// Source is prepended to every program by both engines.
+// Source is the library's text. Every program is read as if it
+// followed Source: its definitions come first in the global table, the
+// procedure table and the code.
 const Source = `
 (define (not x) (if x #f #t))
 

@@ -184,3 +184,17 @@ func TestShuffleStatsOption(t *testing.T) {
 		t.Error("optimality comparison missing")
 	}
 }
+
+// TestSyntaxErrorLine: a reader error names the line of the caller's
+// source, not its offset behind the prelude, in both the compiler and
+// the interpreter.
+func TestSyntaxErrorLine(t *testing.T) {
+	src := "(define (f x) x)\n(f #z)\n(f 1)\n"
+	_, cerr := Compile(src, DefaultOptions())
+	_, ierr := Interpret(src, nil)
+	for name, err := range map[string]error{"Compile": cerr, "Interpret": ierr} {
+		if err == nil || !strings.Contains(err.Error(), "sexp: 2:") {
+			t.Errorf("%s: error %v, want one at line 2", name, err)
+		}
+	}
+}

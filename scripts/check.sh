@@ -51,6 +51,9 @@ go test $short ./...
 echo "== go test -race =="
 go test -race -short ./...
 
+echo "== fuzz: linked compile against the whole-program compile =="
+go test -run '^$' -fuzz '^FuzzLinkedCompile$' -fuzztime 10s ./internal/compiler
+
 echo "== benchmark module: tests and a compile-scale correctness smoke =="
 # perfbench is a module of its own, so the root go test stops at it; the
 # smoke checks every generated program's value and exits 1 on a wrong one.
