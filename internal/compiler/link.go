@@ -149,10 +149,3 @@ func (c *prefixCache) get(opts codegen.Options) (*codegen.Prefix, error) {
 	})
 	return e.pre, e.err
 }
-
-// len is the number of keys held.
-func (c *prefixCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}

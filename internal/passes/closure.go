@@ -134,13 +134,9 @@ func globalsWritten(defs []ast.Def, body ast.Expr) map[sexp.Symbol]bool {
 	out := map[sexp.Symbol]bool{}
 	for _, d := range defs {
 		out[d.Name] = true
-	}
-	if body != nil {
-		scanGlobalSets(body, out)
-	}
-	for _, d := range defs {
 		scanGlobalSets(d.Rhs, out)
 	}
+	scanGlobalSets(body, out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Pre-PR gate: build, vet, test (the root module, then the perfbench
-# module and a short benchmark correctness run), then sweep the
+# Pre-PR gate: build, vet, test (the root module, then a short native
+# fuzz of the linked compile, the perfbench module and a short
+# benchmark correctness run), then sweep the
 # translation validator and the optimality analyzer over the benchmark
 # suite and run the examples (every compilation in the examples runs
 # with Options.Verify on). The lint sweep fails on any redundant save or excess shuffle
