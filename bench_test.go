@@ -222,6 +222,23 @@ func BenchmarkCompileTak(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckedCompileTak is BenchmarkCompileTak with the
+// translation validator and the optimality lint on (lsrc -verify
+// -lint); the difference between the two is the checks' cost.
+func BenchmarkCheckedCompileTak(b *testing.B) {
+	p, err := bench.ByName("tak")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := compiler.DefaultOptions()
+	opts.Verify, opts.Lint = true, true
+	for i := 0; i < b.N; i++ {
+		if _, err := compiler.Compile(p.Source, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkVMTak measures simulator throughput on compiled tak.
 func BenchmarkVMTak(b *testing.B) {
 	p, err := bench.ByName("tak")

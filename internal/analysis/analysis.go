@@ -29,6 +29,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -204,6 +205,20 @@ func Analyze(p *vm.Program) *Report {
 
 // AnalyzeWithCost runs the analyzer with an explicit cost model.
 func AnalyzeWithCost(p *vm.Program, cm vm.CostModel) *Report {
+	return analyze(p, cm, 0)
+}
+
+// AnalyzeFrom is Analyze with only the procedures whose entry lies at
+// or after address from analyzed; the others keep just their names in
+// Procs. A procedure's findings and profile depend on nothing outside
+// its extent but the shuffle records that start in it, p.Config and
+// the cost model (DESIGN.md §18), so merging in the report of the
+// procedures before from (MergePrefix) gives Analyze(p).
+func AnalyzeFrom(p *vm.Program, from int) *Report {
+	return analyze(p, vm.DefaultCostModel(), from)
+}
+
+func analyze(p *vm.Program, cm vm.CostModel, from int) *Report {
 	rep := &Report{Procs: make([]ProcCost, len(p.Procs))}
 	entryToProc := map[int]int{}
 	for i, info := range p.Procs {
@@ -214,7 +229,7 @@ func AnalyzeWithCost(p *vm.Program, cm vm.CostModel) *Report {
 	}
 	for _, ext := range verify.Extents(p) {
 		idx, ok := entryToProc[ext.Start]
-		if !ok {
+		if !ok || ext.Start < from {
 			continue
 		}
 		pa := newProcAnalysis(p, cm, ext, idx, rep)
@@ -223,33 +238,58 @@ func AnalyzeWithCost(p *vm.Program, cm vm.CostModel) *Report {
 		}
 		pa.run()
 	}
-	for i := range rep.Procs {
-		pc := &rep.Procs[i]
-		rep.Totals.Saves += pc.Saves
-		rep.Totals.Restores += pc.Restores
-		rep.Totals.ShuffleMoves += pc.ShuffleMoves
-		rep.Totals.ShuffleWindows += pc.ShuffleWindows
-		rep.Totals.ShuffleWindowsChecked += pc.ShuffleWindowsChecked
+	rep.finish()
+	return rep
+}
+
+// MergePrefix folds pre, the report of p's procedures before address
+// from, into r = AnalyzeFrom(p, from), making r equal to Analyze(p).
+// pre's procedures are the first len(pre.Procs) of p's table. r shares
+// no memory with pre afterwards.
+func (r *Report) MergePrefix(pre *Report) {
+	copy(r.Procs, pre.Procs)
+	if len(pre.Findings) > 0 {
+		fs := make([]Finding, 0, len(pre.Findings)+len(r.Findings))
+		for _, f := range pre.Findings {
+			f.Witness = slices.Clone(f.Witness)
+			fs = append(fs, f)
+		}
+		r.Findings = append(fs, r.Findings...)
 	}
-	for _, f := range rep.Findings {
+	r.finish()
+}
+
+// finish computes the totals and orders the findings by address. The
+// sort is stable, so findings at one pc keep the order the procedures
+// and their checks reported them in.
+func (r *Report) finish() {
+	r.Totals = Summary{}
+	for i := range r.Procs {
+		pc := &r.Procs[i]
+		r.Totals.Saves += pc.Saves
+		r.Totals.Restores += pc.Restores
+		r.Totals.ShuffleMoves += pc.ShuffleMoves
+		r.Totals.ShuffleWindows += pc.ShuffleWindows
+		r.Totals.ShuffleWindowsChecked += pc.ShuffleWindowsChecked
+	}
+	for _, f := range r.Findings {
 		switch f.Kind {
 		case RedundantSave:
-			rep.Totals.RedundantSaves++
+			r.Totals.RedundantSaves++
 		case DeadRestore:
-			rep.Totals.DeadRestores++
+			r.Totals.DeadRestores++
 		case ExcessShuffleMove:
-			rep.Totals.ExcessShuffleMoves++
+			r.Totals.ExcessShuffleMoves++
 		case ExcessShuffleTemp:
-			rep.Totals.ExcessShuffleTemps++
+			r.Totals.ExcessShuffleTemps++
 		}
 	}
-	sort.SliceStable(rep.Findings, func(i, j int) bool {
-		if rep.Findings[i].PC != rep.Findings[j].PC {
-			return rep.Findings[i].PC < rep.Findings[j].PC
+	sort.SliceStable(r.Findings, func(i, j int) bool {
+		if r.Findings[i].PC != r.Findings[j].PC {
+			return r.Findings[i].PC < r.Findings[j].PC
 		}
-		return rep.Findings[i].Kind < rep.Findings[j].Kind
+		return r.Findings[i].Kind < r.Findings[j].Kind
 	})
-	return rep
 }
 
 // Structured converts every finding to the shared format.

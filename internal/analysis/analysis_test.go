@@ -1,12 +1,15 @@
 package analysis_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
 	"repro/internal/codegen"
 	"repro/internal/compiler"
+	"repro/internal/verify"
 	"repro/internal/vm"
 )
 
@@ -280,4 +283,94 @@ func hasFinding(rep *analysis.Report, k analysis.Kind, pc int) bool {
 		}
 	}
 	return false
+}
+
+// cutBefore is p's procedures whose entry lies before from, as a
+// program of their own with no main: the shape in which the prelude's
+// procedures are checked once per options key. p's procedure table and
+// shuffle records are in address order, so these are prefixes of them.
+func cutBefore(p *vm.Program, from int) *vm.Program {
+	c := &vm.Program{Code: p.Code[:from], Consts: p.Consts, Prims: p.Prims, MainIndex: -1, GlobalNames: p.GlobalNames, Config: p.Config}
+	for _, info := range p.Procs {
+		if info.Entry < from {
+			c.Procs = append(c.Procs, info)
+		}
+	}
+	for _, rec := range p.Shuffles {
+		if rec.StartPC < from {
+			c.Shuffles = append(c.Shuffles, rec)
+		}
+	}
+	return c
+}
+
+// TestVerdictsAreLocal: each procedure's verify and lint verdict is a
+// function of that procedure alone. A program is cut at every
+// procedure's entry. The procedures before the cut, checked as a
+// program of their own, and the part from the cut on, checked with the
+// program-wide checks (verify.ProgramFrom, analysis.AnalyzeFrom), give
+// exactly the whole program's violations and lint report. The program
+// has a save dropped in its first and its last procedure that save, so
+// most cuts have violations on both sides. The merged lint report
+// shares no memory with the cut's.
+func TestVerdictsAreLocal(t *testing.T) {
+	for _, name := range []string{"ctak", "browse"} {
+		bp, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := compiler.Compile(bp.Source, bench.PaperOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := c.Program
+		var saves []int
+		for pc, in := range p.Code {
+			if in.Op == vm.OpStoreSlot && in.Kind == vm.KindSave {
+				saves = append(saves, pc)
+			}
+		}
+		for _, pc := range []int{saves[0], saves[len(saves)-1]} {
+			p.Code[pc] = vm.Instr{Op: vm.OpJump, A: pc + 1}
+		}
+		wantV := fmt.Sprintf("%+v", verify.Program(p))
+		wantL := analysis.Analyze(p)
+		if len(wantL.Findings) == 0 || wantV == "[]" {
+			t.Fatalf("%s: the broken program has no violations or no lint findings", name)
+		}
+		cutWitnesses := 0
+		for _, info := range p.Procs {
+			from := info.Entry
+			pre := cutBefore(p, from)
+			gotV := append(verify.Procedures(pre, 0), verify.ProgramFrom(p, from)...)
+			if got := fmt.Sprintf("%+v", gotV); got != wantV {
+				t.Fatalf("%s cut at %d: violations\n%s\nwant\n%s", name, from, got, wantV)
+			}
+			preL := analysis.Analyze(pre)
+			for _, f := range preL.Findings {
+				cutWitnesses += len(f.Witness)
+			}
+			before := fmt.Sprintf("%+v", *preL)
+			gotL := analysis.AnalyzeFrom(p, from)
+			gotL.MergePrefix(preL)
+			if !reflect.DeepEqual(gotL, wantL) {
+				t.Fatalf("%s cut at %d: lint report\n%+v\nwant\n%+v", name, from, *gotL, *wantL)
+			}
+			for i := range gotL.Findings {
+				for j := range gotL.Findings[i].Witness {
+					gotL.Findings[i].Witness[j] = -99
+				}
+				gotL.Findings[i].Msg = "overwritten"
+			}
+			for i := range gotL.Procs {
+				gotL.Procs[i] = analysis.ProcCost{Name: "overwritten"}
+			}
+			if after := fmt.Sprintf("%+v", *preL); after != before {
+				t.Fatalf("%s cut at %d: the merged report shares memory with the cut's", name, from)
+			}
+		}
+		if cutWitnesses == 0 {
+			t.Fatalf("%s: no cut's own report has a witness to overwrite", name)
+		}
+	}
 }

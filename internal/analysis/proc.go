@@ -30,6 +30,9 @@ type procAnalysis struct {
 	g       *dataflow.Graph
 	rep     *Report
 	cost    *ProcCost
+	// recs indexes the program's shuffle records that start in the
+	// extent.
+	recs []int
 
 	// liveAfter answers the two liveness questions the waste checks
 	// ask, per pc (indexed pc-start): after a save, is its slot live;
@@ -64,6 +67,7 @@ func newProcAnalysis(p *vm.Program, cm vm.CostModel, ext verify.ProcExtent, proc
 		g:         pf.Graph(),
 		rep:       rep,
 		cost:      &rep.Procs[procIdx],
+		recs:      ext.Shuffles,
 		shufflePC: map[int]bool{},
 	}
 }

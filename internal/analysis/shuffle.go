@@ -64,10 +64,8 @@ type winOp struct {
 // checkShuffles analyzes every recorded shuffle window inside this
 // procedure's extent.
 func (pa *procAnalysis) checkShuffles() {
-	for _, rec := range pa.p.Shuffles {
-		if rec.StartPC < pa.start || rec.StartPC >= pa.end {
-			continue
-		}
+	for _, i := range pa.recs {
+		rec := pa.p.Shuffles[i]
 		if rec.CallPC < rec.StartPC || rec.CallPC >= pa.end {
 			continue
 		}

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -48,22 +49,39 @@ type staticGoldenFile struct {
 }
 
 // renderStaticGolden compiles every benchmark under every sweep
-// configuration and captures both passes' structured findings.
-func renderStaticGolden(t *testing.T) []byte {
+// configuration and captures both passes' structured findings. With
+// checked unset, both passes run over the whole compiled program. With
+// checked set, the compile itself runs them (Options.Verify and
+// Options.Lint), which checks only the program's own part and reuses
+// the prelude's verdicts; its lint report must then also equal the
+// whole program's analysis, per-procedure profiles included.
+func renderStaticGolden(t *testing.T, checked bool) []byte {
 	t.Helper()
 	var out staticGoldenFile
 	out.Schema = "lsr/static-golden/v1"
 	for _, c := range sweepConfigs() {
+		opts := c.opts
+		opts.Verify, opts.Lint = checked, checked
 		for _, p := range All() {
-			compiled, err := compiler.Compile(p.Source, c.opts)
+			compiled, err := compiler.Compile(p.Source, opts)
 			if err != nil {
-				t.Fatalf("compile %s under %s: %v", p.Name, c.name, err)
+				t.Fatalf("compile %s under %s (checked %t): %v", p.Name, c.name, checked, err)
 			}
-			vfs := verify.Findings(verify.Program(compiled.Program))
+			// A checked compile that returns no error found no violation.
+			var vs []verify.Violation
+			rep := analysis.Analyze(compiled.Program)
+			if checked {
+				if !reflect.DeepEqual(compiled.Lint, rep) {
+					t.Fatalf("%s under %s: the checked compile's lint report differs from the whole program's", p.Name, c.name)
+				}
+				rep = compiled.Lint
+			} else {
+				vs = verify.Program(compiled.Program)
+			}
+			vfs := verify.Findings(vs)
 			if vfs == nil {
 				vfs = []findings.Finding{}
 			}
-			rep := analysis.Analyze(compiled.Program)
 			lfs := rep.Structured()
 			if lfs == nil {
 				lfs = []findings.Finding{}
@@ -84,12 +102,13 @@ func renderStaticGolden(t *testing.T) []byte {
 }
 
 // TestStaticGoldenDifferential locks the legacy static passes to the
-// committed pre-refactor golden (see the file comment).
+// committed pre-refactor golden (see the file comment), both run over
+// the whole program and run by the checked compile.
 func TestStaticGoldenDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus sweep; skipped with -short")
 	}
-	got := renderStaticGolden(t)
+	got := renderStaticGolden(t, false)
 	if os.Getenv("UPDATE_STATIC_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(staticGoldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -104,11 +123,15 @@ func TestStaticGoldenDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (generate with UPDATE_STATIC_GOLDEN=1): %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		d1, d2 := firstDiff(got, want)
-		t.Fatalf("static findings diverge from the pre-refactor golden at byte %d:\n  got:  %s\n  want: %s\nThe refactor onto internal/dataflow must be byte-identical; do not regenerate the golden to hide a diff.",
-			d1, snippet(got, d1), snippet(want, d2))
+	compare := func(checked bool, got []byte) {
+		if !bytes.Equal(got, want) {
+			d1, d2 := firstDiff(got, want)
+			t.Fatalf("static findings (checked compile %t) diverge from the pre-refactor golden at byte %d:\n  got:  %s\n  want: %s\nThe refactor onto internal/dataflow must be byte-identical; do not regenerate the golden to hide a diff.",
+				checked, d1, snippet(got, d1), snippet(want, d2))
+		}
 	}
+	compare(false, got)
+	compare(true, renderStaticGolden(t, true))
 }
 
 // firstDiff returns the first byte offset at which a and b differ (in

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/prim"
+	"repro/internal/sexp"
 	"repro/internal/vm"
 )
 
@@ -98,6 +99,25 @@ func (pre *Prefix) Link(prog *ir.Program) (*vm.Program, Stats, error) {
 	return out, cg.stats, nil
 }
 
+// Program returns the prefix's own procedures as a program with no main
+// (MainIndex -1): its code, pools, procedure table and shuffle records,
+// with globalNames, the global table its procedures were converted
+// against. It checks the prefix apart from any program linked after it,
+// and shares nothing with the prefix.
+func (pre *Prefix) Program(globalNames []sexp.Symbol) *vm.Program {
+	cg := pre.cg.clone()
+	return &vm.Program{
+		Code:        cg.code,
+		Consts:      cg.consts,
+		Prims:       cg.prims,
+		Procs:       cg.procs,
+		MainIndex:   -1,
+		GlobalNames: globalNames,
+		Config:      cg.opts.Config,
+		Shuffles:    cg.shuffles,
+	}
+}
+
 // emitProcs compiles procs in order, appending their code and metadata.
 // An allocator panic becomes an error.
 func (cg *codegen) emitProcs(procs []*ir.Proc) (err error) {
@@ -110,7 +130,10 @@ func (cg *codegen) emitProcs(procs []*ir.Proc) (err error) {
 		}
 	}()
 	for _, p := range procs {
-		entry := cg.emitProc(p)
+		entry, err := cg.emitProc(p)
+		if err != nil {
+			return err
+		}
 		cg.procs = append(cg.procs, vm.ProcInfo{
 			Name:           p.Name,
 			Entry:          entry,

@@ -54,8 +54,9 @@ type emitter struct {
 }
 
 // emitProc compiles one procedure, appending to cg.code, and returns its
-// entry address.
-func (cg *codegen) emitProc(p *ir.Proc) int {
+// entry address. A procedure whose frame would exceed vm.MaxFrame is an
+// error.
+func (cg *codegen) emitProc(p *ir.Proc) (int, error) {
 	stackParams, varSlots := cg.assignLocations(p)
 	if cg.opts.CalleeSave {
 		markCrossing(p)
@@ -102,6 +103,9 @@ func (cg *codegen) emitProc(p *ir.Proc) int {
 	cg.emit(vm.Instr{Op: vm.OpReturn})
 
 	frame := em.maxTemp
+	if frame > vm.MaxFrame {
+		return 0, fmt.Errorf("codegen: procedure %s needs a frame of %d slots, over the limit of %d", p.Name, frame, vm.MaxFrame)
+	}
 	cg.code[entry].B = frame
 	for _, i := range em.patchFrameB {
 		cg.code[i].B = frame
@@ -109,7 +113,7 @@ func (cg *codegen) emitProc(p *ir.Proc) int {
 	for _, i := range em.patchFrameC {
 		cg.code[i].C = frame
 	}
-	return entry
+	return entry, nil
 }
 
 // assignSaveSlots walks the body giving every register-homed bound

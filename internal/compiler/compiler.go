@@ -1,8 +1,9 @@
 // Package compiler is the end-to-end pipeline: source text → reader →
 // macro expansion → assignment conversion → closure conversion →
 // register allocation → VM code. It is the internal engine behind the
-// public lsr package. The prelude goes through the pipeline once per
-// process and options key, and programs are linked after it (link.go).
+// public lsr package. The prelude goes through the pipeline, and the
+// verifier and the lint, once per process and options key, and
+// programs are linked after it (link.go).
 package compiler
 
 import (
@@ -44,33 +45,60 @@ type Compiled struct {
 // Compile compiles source text. A program is linked after the
 // prelude's precompiled code unless it defines or assigns a name that
 // code depends on, in which case it is compiled whole; either way the
-// result is the same program (see link.go). The verifier and the lint
-// check the whole program.
+// result is the same program (see link.go). The verifier's error and
+// the lint's report are those of the whole program too, but a linked
+// program's checks cover only its own procedures and main, and reuse
+// the prelude's verdicts, made once per options key.
 func Compile(src string, opts Options) (*Compiled, error) {
 	prog, err := parse(src, opts.NoPrelude)
 	if err != nil {
 		return nil, err
 	}
-	var code *vm.Program
-	var stats codegen.Stats
+	var (
+		code  *vm.Program
+		stats codegen.Stats
+		e     *prefixEntry
+	)
 	if opts.NoPrelude {
 		code, stats, err = compileWhole(prog, opts.Options)
 	} else {
-		code, stats, err = link(prog, opts.Options)
+		code, stats, e, err = link(prog, opts.Options)
 	}
 	if err != nil {
 		return nil, err
 	}
+	var pc *preludeChecks
+	if e != nil && (opts.Verify || opts.Lint) {
+		pc = e.prelude()
+	}
+	lint, err := check(code, pc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Compiled{Program: code, Stats: stats, Lint: lint}, nil
+}
+
+// check runs the post-passes opts turns on over code. pc holds the
+// verdicts of the prelude code was linked after, so that only code's
+// own part is checked; with pc nil the whole program is.
+func check(code *vm.Program, pc *preludeChecks, opts Options) (*analysis.Report, error) {
+	from := 0
+	if pc != nil {
+		from = pc.from
+	}
 	if opts.Verify {
-		if verr := verify.Check(code); verr != nil {
-			return nil, verr
+		if vs := verify.ProgramFrom(code, from); len(vs) > 0 {
+			return nil, &verify.Error{Violations: vs}
 		}
 	}
-	c := &Compiled{Program: code, Stats: stats}
-	if opts.Lint {
-		c.Lint = analysis.Analyze(code)
+	if !opts.Lint {
+		return nil, nil
 	}
-	return c, nil
+	rep := analysis.AnalyzeFrom(code, from)
+	if pc != nil {
+		rep.MergePrefix(pc.lint)
+	}
+	return rep, nil
 }
 
 // parse reads src and expands it, after the prelude unless noPrelude.

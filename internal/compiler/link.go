@@ -19,16 +19,25 @@ package compiler
 // program's own forms after the prelude's, converts its definitions
 // and body after the prelude's global table, and emits its procedures
 // and main after a copy of the prelude's code generator state.
+//
+// The verifier's and the lint's verdict on a procedure is likewise a
+// function of that procedure alone (DESIGN.md §18), so the prelude's
+// procedures are verified and linted once per options key too, on the
+// first checked compile under it. A checked linked compile then checks
+// only the procedures and main the program adds, and merges in the
+// prelude's lint report.
 
 import (
 	"container/list"
 	"sync"
 
+	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/codegen"
 	"repro/internal/passes"
 	"repro/internal/prelude"
 	"repro/internal/sexp"
+	"repro/internal/verify"
 	"repro/internal/vm"
 )
 
@@ -65,25 +74,28 @@ var loadPrelude = sync.OnceValues(func() (*preludeUnit, error) {
 
 // link compiles prog, parsed after the prelude, by linking its own
 // definitions and body after the prelude's precompiled code, or whole
-// when the link test fails.
-func link(prog *ast.Program, opts codegen.Options) (*vm.Program, codegen.Stats, error) {
+// when the link test fails. It returns the prefix entry the program
+// was linked after, nil when it was compiled whole.
+func link(prog *ast.Program, opts codegen.Options) (*vm.Program, codegen.Stats, *prefixEntry, error) {
 	pl, err := loadPrelude()
 	if err != nil {
-		return nil, codegen.Stats{}, err
+		return nil, codegen.Stats{}, nil, err
 	}
 	user := &ast.Program{Defs: prog.Defs[len(pl.ast.Defs):], Body: prog.Body, NumVars: prog.NumVars}
 	if !pl.lib.Links(user) {
-		return compileWhole(prog, opts)
+		code, stats, err := compileWhole(prog, opts)
+		return code, stats, nil, err
 	}
 	irProg, err := pl.lib.Link(passes.AssignConvert(user))
 	if err != nil {
-		return nil, codegen.Stats{}, err
+		return nil, codegen.Stats{}, nil, err
 	}
-	pre, err := prefixes.get(opts)
+	e, err := prefixes.get(opts)
 	if err != nil {
-		return nil, codegen.Stats{}, err
+		return nil, codegen.Stats{}, nil, err
 	}
-	return pre.Link(irProg)
+	code, stats, err := e.pre.Link(irProg)
+	return code, stats, e, err
 }
 
 // prefixCapacity bounds how many options keys keep an emitted prelude.
@@ -105,6 +117,40 @@ type prefixEntry struct {
 	once sync.Once
 	pre  *codegen.Prefix
 	err  error
+	// checkOnce guards checks, made on the first checked compile under
+	// the key, so that unchecked compiles never pay for them.
+	checkOnce sync.Once
+	checks    *preludeChecks
+}
+
+// preludeChecks are the prelude's own verify and lint verdicts under
+// one options key: its procedures verify clean, and lint is their
+// report. A program linked after the prelude is checked from address
+// from on, where its own code begins.
+type preludeChecks struct {
+	from int
+	lint *analysis.Report
+}
+
+// prelude returns the prelude's verdicts, checking its procedures as a
+// program of their own on first use. It returns nil when they do not
+// verify clean, which only a code generator fault causes; every checked
+// compile under the key then checks the whole program, since a pool
+// index out of range in the prelude alone may be in range in a longer
+// linked program, and such a verdict is not the prelude's own.
+func (e *prefixEntry) prelude() *preludeChecks {
+	e.checkOnce.Do(func() {
+		pl, err := loadPrelude()
+		if err != nil {
+			return
+		}
+		part := e.pre.Program(pl.lib.GlobalNames())
+		if len(verify.Procedures(part, 0)) > 0 {
+			return
+		}
+		e.checks = &preludeChecks{from: len(part.Code), lint: analysis.Analyze(part)}
+	})
+	return e.checks
 }
 
 var prefixes = newPrefixCache()
@@ -113,10 +159,10 @@ func newPrefixCache() *prefixCache {
 	return &prefixCache{byKey: map[codegen.Options]*list.Element{}}
 }
 
-// get returns the prelude's prefix for opts, emitting it on first use.
-// The key is opts with the post-passes cleared, since they only check
-// the code. Invalid options get an error and make no entry.
-func (c *prefixCache) get(opts codegen.Options) (*codegen.Prefix, error) {
+// get returns the entry for opts, emitting the prelude's prefix on
+// first use. The key is opts with the post-passes cleared, since they
+// only check the code. Invalid options get an error and make no entry.
+func (c *prefixCache) get(opts codegen.Options) (*prefixEntry, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
@@ -147,5 +193,8 @@ func (c *prefixCache) get(opts codegen.Options) (*codegen.Prefix, error) {
 		}
 		e.pre, e.err = codegen.NewPrefix(lib.Procs, opts)
 	})
-	return e.pre, e.err
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e, nil
 }

@@ -2,6 +2,7 @@ package compiler_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 
 // TestConcurrentLinkedCompiles: goroutines compiling the quick suite
 // under several option sets from a cold prefix cache, racing to build
-// each prefix and reading the shared prelude on both the link and the
-// whole-program path (one program shadows car), get exactly what a
-// serial compile gets. Run under -race, it also checks that nothing
-// the compiles share is written.
+// each prefix and the prelude's cached verdicts and reading the shared
+// prelude on both the link and the whole-program path (one program
+// shadows car), get exactly what a serial compile gets, lint reports
+// included. Run under -race, it also checks that nothing the compiles
+// share is written.
 func TestConcurrentLinkedCompiles(t *testing.T) {
 	var srcs []string
 	for _, name := range []string{"minieval", "typecheck", "tak", "cpstak", "deriv", "div-iter", "browse", "triang"} {
@@ -39,6 +41,11 @@ func TestConcurrentLinkedCompiles(t *testing.T) {
 	cs.CalleeSave = true
 	cs.Saves = codegen.SaveEarly
 	configs = append(configs, cs)
+	// Checked twins of two option sets share their prefix entries.
+	for _, o := range []compiler.Options{configs[0], cs} {
+		o.Verify, o.Lint = true, true
+		configs = append(configs, o)
+	}
 
 	type job struct{ src, cfg int }
 	var jobs []job
@@ -71,6 +78,9 @@ func TestConcurrentLinkedCompiles(t *testing.T) {
 				}
 				if d := compiler.SameProgram(got.Program, want[j].Program); d != "" || got.Stats != want[j].Stats {
 					errs <- fmt.Errorf("program %d config %d: differs from the serial compile (%s, stats %v)", j.src, j.cfg, d, got.Stats == want[j].Stats)
+				}
+				if !reflect.DeepEqual(got.Lint, want[j].Lint) {
+					errs <- fmt.Errorf("program %d config %d: lint report differs from the serial compile's", j.src, j.cfg)
 				}
 			}
 		}(w)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/codegen"
 	"repro/internal/prim"
 	"repro/internal/verify"
@@ -63,15 +64,19 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// FuzzLinkedCompile: under every fuzz configuration, Compile (which
-// links after the prelude whenever the link test allows) gives exactly
-// what compiling the whole program gives: the same error text, or the
-// same code, pools, procedures, shuffle records, globals and Stats.
-// The seed corpus covers every name the link test falls back on,
-// redefined prelude procedures, a call/cc shadow, the expander's
-// generated names and a syntax error.
+// FuzzLinkedCompile: under every fuzz configuration, with the verifier
+// and the lint on, Compile (which links after the prelude whenever the
+// link test allows, and then checks only the program's own part) gives
+// exactly what compiling and checking the whole program gives: the same
+// error text, or the same code, pools, procedures, shuffle records,
+// globals, Stats and lint report. The seed corpus covers every name the
+// link test falls back on, redefined prelude procedures, a call/cc
+// shadow, the expander's generated names and a syntax error.
 func FuzzLinkedCompile(f *testing.F) {
 	configs := fuzzConfigs()
+	for i := range configs {
+		configs[i].Lint = true
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			t.Skip("the reader's nesting is unbounded; long inputs spend the budget there")
@@ -90,6 +95,9 @@ func FuzzLinkedCompile(f *testing.F) {
 			}
 			if got.Stats != wstats {
 				t.Fatalf("config %d: Stats %+v, whole program %+v\nsource:\n%s", ci, got.Stats, wstats, src)
+			}
+			if wlint := analysis.Analyze(want); !reflect.DeepEqual(got.Lint, wlint) {
+				t.Fatalf("config %d: lint report %+v, whole program %+v\nsource:\n%s", ci, got.Lint, wlint, src)
 			}
 		}
 	})
@@ -147,6 +155,33 @@ func TestLinkedProgramIsolated(t *testing.T) {
 	}
 	if got := describe(second.Program); got != before {
 		t.Fatalf("second compile differs from the first before the overwrite:\n%s\nwant:\n%s", got, before)
+	}
+}
+
+// TestWholeProgramPathsCheckWhole: a program that redefines a
+// primitive the prelude open-codes is compiled whole and gets no
+// prelude verdicts, so its checked compile covers every procedure, as
+// a NoPrelude compile's does; a program linked after the prelude gets
+// them.
+func TestWholeProgramPathsCheckWhole(t *testing.T) {
+	for _, c := range []struct {
+		src    string
+		linked bool
+	}{
+		{takSource, true},
+		{"(define (car p) (cdr p))\n(car (cons 1 2))\n", false},
+	} {
+		prog, err := parse(c.src, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, e, err := link(prog, DefaultOptions().Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (e != nil) != c.linked {
+			t.Errorf("linked %t, want %t:\n%s", e != nil, c.linked, c.src)
+		}
 	}
 }
 

@@ -177,9 +177,10 @@ type scaleShape struct {
 }
 
 // scaleShapes are compile-scale's five shapes (depth, sequence length,
-// arity, binding depth, clause count) plus two that cross them: values
-// live across many calls, and a binding chain whose inits branch. The
-// rungs put the slowest linear stage at a few milliseconds at 4n.
+// arity, binding depth, clause count) plus three that cross them: values
+// live across many calls, a binding chain whose inits branch, and many
+// small procedures each with a call shuffle. The rungs put the slowest
+// linear stage at a few milliseconds at 4n.
 var scaleShapes = []scaleShape{
 	{"nest", 512, genNest},
 	{"begin", 512, genBegin},
@@ -188,6 +189,7 @@ var scaleShapes = []scaleShape{
 	{"cond", 256, genCond},
 	{"calls", 256, genCalls},
 	{"letif", 128, genLetIf},
+	{"procs", 512, genProcs},
 }
 
 // genNest is deep nesting: (+ 1 (+ 2 ... (+ n 0))).
@@ -281,6 +283,18 @@ func genLetIf(n int) string {
 		fmt.Fprintf(&b, "(let ((x%d (if (< x%d %d) (+ x%d 1) (- x%d 1))))\n", i, i-1, i%10, i-1, i-1)
 	}
 	fmt.Fprintf(&b, "x%d%s)\n(chain 5)\n", n, strings.Repeat(")", n))
+	return b.String()
+}
+
+// genProcs is n one-line procedures, each making one call whose
+// arguments are shuffled.
+func genProcs(n int) string {
+	var b strings.Builder
+	b.WriteString("(define (g x i) (+ x i))\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "(define (f%d x) (+ 1 (g x %d)))\n", i, i)
+	}
+	fmt.Fprintf(&b, "(f%d 1)\n", n)
 	return b.String()
 }
 

@@ -51,6 +51,12 @@ func ConvertLibrary(defs []ast.Def) (*Library, error) {
 	return &Library{Procs: cc.procs, init: init, conv: *cc}, nil
 }
 
+// GlobalNames returns a copy of the library's global table, which every
+// linked program's table begins with.
+func (l *Library) GlobalNames() []sexp.Symbol {
+	return append([]sexp.Symbol(nil), l.conv.globalNames...)
+}
+
 // Links reports whether p, a program's definitions and body after the
 // library's, leaves every name the library's conversion assumed
 // undefined alone, so that Link converts it exactly.

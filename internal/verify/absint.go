@@ -8,12 +8,10 @@ import (
 	"repro/internal/vm"
 )
 
-// Sanity bounds for structural prescanning: beyond these an operand is
-// reported as malformed rather than sized for.
-const (
-	maxArgc  = 1024
-	maxFrame = 1 << 16
-)
+// maxArgc bounds argument counts for structural prescanning: beyond it
+// an operand is reported as malformed rather than sized for. Frames
+// are bounded by vm.MaxFrame.
+const maxArgc = 1024
 
 // maxPasses bounds the fixpoint. Procedure bodies are DAGs (all jumps
 // forward), so one increasing-address pass normally converges; the cap
@@ -34,6 +32,8 @@ type procVerifier struct {
 	stackParams int
 	nRegs       int
 
+	// syms is this procedure's own join-symbol table, so no other
+	// procedure's joins count against its cap.
 	syms *symtab
 	// eff caches per-instruction effects (indexed pc-start).
 	eff []vm.Effects
@@ -73,16 +73,16 @@ type violationKey struct {
 	slot int
 }
 
-func newProcVerifier(p *vm.Program, pr procRange, recs []int, syms *symtab) *procVerifier {
+func newProcVerifier(p *vm.Program, ext ProcExtent) *procVerifier {
 	return &procVerifier{
 		p:     p,
-		recs:  recs,
+		recs:  ext.Shuffles,
 		cfg:   p.Config,
-		info:  pr.info,
-		start: pr.start,
-		end:   pr.end,
+		info:  ext.Info,
+		start: ext.Start,
+		end:   ext.End,
 		nRegs: p.Config.NumRegs(),
-		syms:  syms,
+		syms:  newSymtab(),
 		seen:  map[violationKey]bool{},
 	}
 }
@@ -132,7 +132,7 @@ func (pv *procVerifier) prescan() bool {
 		return false
 	}
 	pv.frame = entry.B
-	if pv.frame < 0 || pv.frame > maxFrame {
+	if pv.frame < 0 || pv.frame > vm.MaxFrame {
 		bad(pv.start, BadFrame, -1, -1, "frame size %d out of range", pv.frame)
 		return false
 	}

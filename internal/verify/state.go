@@ -53,8 +53,10 @@ const maxPairs = 1 << 16
 
 // symtab interns join symbols by their canonical leaf set, making the
 // join idempotent, commutative and associative (so the fixpoint
-// converges). It is shared across procedures so symbol meanings stay
-// stable for the whole program.
+// converges). Each procedure has its own: symbols never cross a
+// procedure boundary, and a shared table would let the joins of the
+// procedures checked first use up maxPairs and widen a later one's
+// joins to aTop, making its verdict depend on what precedes it.
 type symtab struct {
 	sets    map[string]int32
 	members map[int32][]int32

@@ -209,7 +209,17 @@ func (e *Error) Error() string {
 
 // Program statically verifies p and returns every violation found,
 // ordered by address. An empty result means every check passed.
-func Program(p *vm.Program) []Violation {
+func Program(p *vm.Program) []Violation { return ProgramFrom(p, 0) }
+
+// ProgramFrom is Program with the procedure bodies before address from
+// left unchecked: it checks the main index, every procedure's entry,
+// and the procedures whose entry lies at or after from. A procedure's
+// verdict depends on nothing outside its extent but the shuffle records
+// that start in it, p.Config and the lengths of p's pools and tables
+// (DESIGN.md §18). So when p's code before from is a prefix whose
+// procedures verify clean on their own (Procedures), ProgramFrom(p,
+// from) equals Program(p).
+func ProgramFrom(p *vm.Program, from int) []Violation {
 	var out []Violation
 	if p.MainIndex < 0 || p.MainIndex >= len(p.Procs) {
 		out = append(out, Violation{
@@ -217,30 +227,38 @@ func Program(p *vm.Program) []Violation {
 			Msg: fmt.Sprintf("main index %d outside procedure table (%d procs)", p.MainIndex, len(p.Procs)),
 		})
 	}
-
-	ranges := procRanges(p, &out)
-	// Bucket the shuffle records by the procedure their start lies in;
-	// the ranges are sorted and contiguous.
-	recs := make([][]int, len(ranges))
-	for i, rec := range p.Shuffles {
-		j := sort.Search(len(ranges), func(j int) bool { return ranges[j].end > rec.StartPC })
-		if j < len(ranges) && rec.StartPC >= ranges[j].start {
-			recs[j] = append(recs[j], i)
-		}
-	}
-	syms := newSymtab()
-	for i, pr := range ranges {
-		pv := newProcVerifier(p, pr, recs[i], syms)
-		pv.run(&out)
-	}
-
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].PC != out[j].PC {
-			return out[i].PC < out[j].PC
-		}
-		return out[i].Kind < out[j].Kind
-	})
+	procedures(p, from, &out)
+	sortViolations(out)
 	return out
+}
+
+// Procedures is ProgramFrom without the main index check, so it also
+// verifies procedures that have no main after them, such as a prelude
+// compiled ahead of the programs linked after it.
+func Procedures(p *vm.Program, from int) []Violation {
+	var out []Violation
+	procedures(p, from, &out)
+	sortViolations(out)
+	return out
+}
+
+// procedures checks every procedure's entry and verifies the bodies at
+// or after from, each with a symbol table of its own.
+func procedures(p *vm.Program, from int, out *[]Violation) {
+	for _, ext := range extents(p, out) {
+		if ext.Start >= from {
+			newProcVerifier(p, ext).run(out)
+		}
+	}
+}
+
+func sortViolations(vs []Violation) {
+	sort.SliceStable(vs, func(i, j int) bool {
+		if vs[i].PC != vs[j].PC {
+			return vs[i].PC < vs[j].PC
+		}
+		return vs[i].Kind < vs[j].Kind
+	})
 }
 
 // Check verifies p, returning nil or an *Error listing every violation.
@@ -251,20 +269,16 @@ func Check(p *vm.Program) error {
 	return nil
 }
 
-// procRange is one procedure's contiguous code extent [start, end).
-type procRange struct {
-	info  vm.ProcInfo
-	start int
-	end   int
-}
-
 // ProcExtent is one procedure's contiguous code extent [Start, End),
-// exported for sibling static passes (internal/analysis) that walk the
-// same per-procedure code regions the verifier does.
+// with the shuffle records that start in it. The verifier and its
+// sibling static passes (internal/analysis) walk the same extents.
 type ProcExtent struct {
 	Info  vm.ProcInfo
 	Start int
 	End   int
+	// Shuffles indexes the program's shuffle records whose StartPC lies
+	// in the extent, in record order.
+	Shuffles []int
 }
 
 // Extents computes every procedure's code extent, in address order.
@@ -272,19 +286,14 @@ type ProcExtent struct {
 // verifier reports those as violations).
 func Extents(p *vm.Program) []ProcExtent {
 	var discard []Violation
-	rs := procRanges(p, &discard)
-	out := make([]ProcExtent, len(rs))
-	for i, r := range rs {
-		out[i] = ProcExtent{Info: r.info, Start: r.start, End: r.end}
-	}
-	return out
+	return extents(p, &discard)
 }
 
-// procRanges computes each procedure's extent: procedures are emitted
+// extents computes each procedure's extent: procedures are emitted
 // contiguously, so a body runs from its entry to the next entry (or the
 // end of the code). Out-of-range entries are reported and skipped.
-func procRanges(p *vm.Program, out *[]Violation) []procRange {
-	var rs []procRange
+func extents(p *vm.Program, out *[]Violation) []ProcExtent {
+	var rs []ProcExtent
 	for _, info := range p.Procs {
 		if info.Entry <= 0 || info.Entry >= len(p.Code) {
 			*out = append(*out, Violation{
@@ -293,14 +302,22 @@ func procRanges(p *vm.Program, out *[]Violation) []procRange {
 			})
 			continue
 		}
-		rs = append(rs, procRange{info: info, start: info.Entry})
+		rs = append(rs, ProcExtent{Info: info, Start: info.Entry})
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].start < rs[j].start })
+	sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })
 	for i := range rs {
 		if i+1 < len(rs) {
-			rs[i].end = rs[i+1].start
+			rs[i].End = rs[i+1].Start
 		} else {
-			rs[i].end = len(p.Code)
+			rs[i].End = len(p.Code)
+		}
+	}
+	// Bucket the shuffle records by the extent their start lies in; the
+	// extents are sorted and contiguous.
+	for i, rec := range p.Shuffles {
+		j := sort.Search(len(rs), func(j int) bool { return rs[j].End > rec.StartPC })
+		if j < len(rs) && rec.StartPC >= rs[j].Start {
+			rs[j].Shuffles = append(rs[j].Shuffles, i)
 		}
 	}
 	return rs

@@ -121,6 +121,11 @@ type Instr struct {
 	Predict int8
 }
 
+// MaxFrame is the largest frame, in slots, a procedure may have: the
+// code generator refuses a procedure that needs more, and the
+// translation validator reports one as a bad frame.
+const MaxFrame = 1 << 16
+
 // Program is a complete compiled program.
 type Program struct {
 	Code   []Instr
