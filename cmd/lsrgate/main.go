@@ -2,8 +2,9 @@
 // shards every /v1/ request by the same content-addressed cache key
 // the replicas compute, so each replica's two-tier cache sees a stable
 // partition of the key space; it probes backend health, fails over
-// connection errors with jittered backoff, and serves its own
-// Prometheus-text metrics.
+// connection errors that happen before a request is written with
+// jittered backoff (a request a backend may have received is answered
+// 502, never re-sent), and serves its own Prometheus-text metrics.
 //
 // Usage:
 //
@@ -40,7 +41,7 @@ func main() {
 		addr     = flag.String("addr", ":8376", "listen address")
 		backends = flag.String("backends", "", "comma-separated lsrd base URLs (required)")
 		vnodes   = flag.Int("vnodes", gate.DefaultVNodes, "virtual nodes per backend")
-		retries  = flag.Int("retries", 2, "max failover attempts after a connection error")
+		retries  = flag.Int("retries", 2, "max failover attempts after a connection error before the request was written")
 		health   = flag.Duration("health", 2*time.Second, "backend health-probe interval")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-attempt request deadline")
 	)

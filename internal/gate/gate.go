@@ -7,12 +7,14 @@
 //
 // The gate keeps per-backend health (a /healthz probe loop plus
 // passive marking on connection failure), walks the ring past down
-// backends, and retries connection-level failures against the next
-// owner with jittered exponential backoff — never retrying a request
-// a backend actually answered, so non-idempotent effects are not
-// duplicated. It exposes its own Prometheus-text metrics: per-backend
-// request/latency/error series, health gauges, and a ring-rebalance
-// counter.
+// backends, and re-sends a request to the next owner, with jittered
+// exponential backoff, only when no backend can have received it: the
+// connection failed before the request was written, as on a refused
+// dial. A backend that drops the connection after the request was
+// written may have run it, or died running it, so that client gets a
+// 502 and no other backend sees the request. It exposes its own
+// Prometheus-text metrics: per-backend request/latency/error series,
+// health gauges, and a ring-rebalance counter.
 package gate
 
 import (
@@ -24,8 +26,10 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/http/httptrace"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/service"
@@ -38,8 +42,10 @@ type Config struct {
 	Backends []string
 	// VNodes is the virtual-node count per backend (0 = DefaultVNodes).
 	VNodes int
-	// MaxRetries bounds additional attempts after a connection-level
-	// failure (0 = default 2). HTTP responses are never retried.
+	// MaxRetries bounds additional attempts after a connection failure
+	// that happened before the request was written (0 = default 2).
+	// HTTP responses and requests a backend may have received are
+	// never retried.
 	MaxRetries int
 	// RetryBase is the backoff base before jitter (0 = 25ms).
 	RetryBase time.Duration
@@ -118,7 +124,7 @@ func New(cfg Config, logger *slog.Logger) (*Gate, error) {
 	g.up = g.reg.NewGaugeVec("lsrgate_backend_up",
 		"Backend health (1 = routable).", "backend")
 	g.retries = g.reg.NewCounter("lsrgate_retries_total",
-		"Requests re-sent to another backend after a connection failure.")
+		"Requests re-sent to another backend after a connection failure before the request was written.")
 	g.noBackend = g.reg.NewCounter("lsrgate_no_backend_total",
 		"Requests dropped because no backend was healthy.")
 	g.reg.NewCounterFunc("lsrgate_rebalance_total",
@@ -190,7 +196,8 @@ func shardHash(path string, body []byte) uint64 {
 }
 
 // proxy forwards one request to the key's owner, failing over with
-// jittered backoff on connection errors only.
+// jittered backoff only on connection errors before the request was
+// written.
 func (g *Gate) proxy(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
 	if err != nil {
@@ -211,16 +218,22 @@ func (g *Gate) proxy(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		backend := g.ring.Backends()[idx]
-		resp, err := g.send(r, backend, body)
+		resp, written, err := g.send(r, backend, body)
 		if err == nil {
 			g.copyResponse(w, resp, backend)
 			return
 		}
-		// Connection-level failure: the backend never answered, so the
-		// request is safe to re-send. Mark it down (the probe loop
-		// restores it) and walk to the next owner.
+		// Connection-level failure: mark the backend down (the probe
+		// loop restores it). Once the request was written the backend
+		// may have read and run it, and a program that kills its
+		// replica would kill the next one too, so only a request that
+		// was never written walks to the next owner.
 		g.connErrs.With(backend).Inc()
 		g.markDown(idx, err)
+		if written {
+			http.Error(w, `{"error":{"kind":"overload","message":"backend dropped the connection"}}`, http.StatusBadGateway)
+			return
+		}
 		if attempt >= g.cfg.MaxRetries {
 			http.Error(w, `{"error":{"kind":"overload","message":"backends unreachable"}}`, http.StatusBadGateway)
 			return
@@ -242,26 +255,31 @@ func jitteredBackoff(base time.Duration, attempt int) time.Duration {
 }
 
 // send issues one attempt against a backend, recording latency and
-// the response code. A non-nil error means the transport failed and
-// the attempt is retryable.
-func (g *Gate) send(r *http.Request, backend string, body []byte) (*http.Response, error) {
+// the response code. A non-nil error means the transport failed;
+// written then reports whether it had begun writing the request, after
+// which the backend may have received it.
+func (g *Gate) send(r *http.Request, backend string, body []byte) (resp *http.Response, written bool, err error) {
 	url := backend + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, strings.NewReader(string(body)))
+	var wrote atomic.Bool
+	ctx := httptrace.WithClientTrace(r.Context(), &httptrace.ClientTrace{
+		WroteRequest: func(httptrace.WroteRequestInfo) { wrote.Store(true) },
+	})
+	req, err := http.NewRequestWithContext(ctx, r.Method, url, strings.NewReader(string(body)))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	req.Header = r.Header.Clone()
 	start := time.Now()
-	resp, err := g.client.Do(req)
+	resp, err = g.client.Do(req)
 	g.latency.With(backend).Observe(time.Since(start).Seconds())
 	if err != nil {
-		return nil, err
+		return nil, wrote.Load(), err
 	}
 	g.requests.With(backend, strconv.Itoa(resp.StatusCode)).Inc()
-	return resp, nil
+	return resp, true, nil
 }
 
 // copyResponse relays the backend's answer verbatim.

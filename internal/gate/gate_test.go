@@ -198,6 +198,46 @@ func TestFailoverRetries(t *testing.T) {
 	}
 }
 
+// TestNoResendAfterWrite: a backend that reads the request and then
+// drops the connection (as a replica killed by the program it runs
+// would) may have acted on it, so the gate answers 502 instead of
+// re-sending the request to the next owner.
+func TestNoResendAfterWrite(t *testing.T) {
+	var hits atomic.Int64
+	dropper := func(w http.ResponseWriter, r *http.Request) {
+		if _, err := io.ReadAll(r.Body); err != nil {
+			t.Error(err)
+			return
+		}
+		hits.Add(1)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}
+	a := httptest.NewServer(http.HandlerFunc(dropper))
+	defer a.Close()
+	b := httptest.NewServer(http.HandlerFunc(dropper))
+	defer b.Close()
+
+	g := testGate(t, []string{a.URL, b.URL}, nil)
+	front := httptest.NewServer(g.Handler())
+	defer front.Close()
+
+	resp, out := postJSON(t, front.URL+"/v1/run", `{"source":"(poison)"}`)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502: %s", resp.StatusCode, out)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Errorf("%d backends received the request, want 1", n)
+	}
+	if m := g.Metrics(); !strings.Contains(m, "lsrgate_retries_total 0\n") {
+		t.Errorf("the request was re-sent:\n%s", m)
+	}
+}
+
 // TestAllBackendsDown: with more dead backends than retry budget the
 // gate answers 502 after bounded retries; once every backend is marked
 // down the ring is empty and it sheds 503, with /healthz following.

@@ -7,8 +7,9 @@ import "repro/internal/prim"
 // objects and their Free slices can come from the per-machine
 // prim.Arena slabs (via Ctx.AllocClosure) under the same Recycle
 // lifetime contract as pair cells. Engine code must allocate closures
-// through m.ctx.AllocClosure, never with a literal — the alloc-baseline
-// gate (lsrvet) fails on a reintroduced &Closure{...} heap site.
+// through m.ctx.AllocClosure, never with a literal — a reintroduced
+// &Closure{...} allocates once per closure made, which
+// TestSteadyStateAllocs fails on.
 type Closure = prim.Closure
 
 // PrimValue is a primitive as a first-class value (a global cell's

@@ -39,11 +39,7 @@ if [ -n "$undoc" ]; then
     exit 1
 fi
 
-echo "== source lint: alloc baseline, Program immutability, engine parity =="
-# lsrvet's alloc analyzer diffs `go build -gcflags=-m` output against
-# ALLOC_BASELINE.json, which records the toolchain it was measured
-# with; it fails fast with instructions if this machine's go MAJOR.MINOR
-# differs (regenerate with `go run ./cmd/lsrvet -write`).
+echo "== source lint: Program immutability, engine parity =="
 go run ./cmd/lsrvet
 
 echo "== go test =="
@@ -53,7 +49,10 @@ echo "== go test -race =="
 go test -race -short ./...
 
 echo "== fuzz: linked compile against the whole-program compile =="
-go test -run '^$' -fuzz '^FuzzLinkedCompile$' -fuzztime 10s ./internal/compiler
+# -fuzzminimizetime 0 keeps the 10 s executing instead of minimizing
+# each new-coverage input; a failing input is still written to
+# testdata/fuzz, unminimized.
+go test -run '^$' -fuzz '^FuzzLinkedCompile$' -fuzztime 10s -fuzzminimizetime 0 ./internal/compiler
 
 echo "== benchmark module: tests and a compile-scale correctness smoke =="
 # perfbench is a module of its own, so the root go test stops at it; the
