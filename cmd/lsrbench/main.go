@@ -20,16 +20,14 @@
 //	                             # (gates: benchmarks clean, corpus caught)
 //	lsrbench -suite quick        # restrict tables to a fast subset
 //
-// Performance gate (see DESIGN.md §12):
-//
-//	lsrbench -suite quick -perfcompare BENCH_2.json  # gate against the committed baseline
-//	lsrbench -suite quick -perfjson BENCH_3.json     # record a new baseline
-//
 // Sustained-load SLO gate against a running lsrgate/lsrd (see
 // DESIGN.md §16; scripts/loadgen.sh stands the fleet up):
 //
-//	lsrbench -loadurl http://localhost:8376 -loadjson BENCH_LOAD_0.json
-//	lsrbench -loadurl http://localhost:8376 -loadcompare BENCH_LOAD_0.json
+//	lsrbench -loadurl http://localhost:8376
+//
+// Wall time is measured by the repository benchmark (perfbench/) and
+// compared between paired runs on one host by scripts/perfpair.sh
+// (DESIGN.md §12).
 package main
 
 import (
@@ -58,16 +56,9 @@ func main() {
 		all         = flag.Bool("all", false, "run everything")
 		suite       = flag.String("suite", "full", "benchmark subset: full or quick")
 
-		perfJSON       = flag.String("perfjson", "", "measure wall/cycle/alloc per program and write a BENCH_*.json report to this file")
-		perfCompare    = flag.String("perfcompare", "", "measure and gate against the committed BENCH_*.json baseline at this path")
-		perfThreshold  = flag.Float64("perfthreshold", 0.15, "allowed wall-time geomean regression for -perfcompare")
-		allocThreshold = flag.Float64("allocthreshold", 0.10, "allowed per-program allocs_per_op growth for -perfcompare")
-
-		loadURL      = flag.String("loadurl", "", "drive sustained load at this lsrgate/lsrd base URL and report p50/p95/p99 + throughput")
+		loadURL      = flag.String("loadurl", "", "drive sustained load at this lsrgate/lsrd base URL, report p50/p95/p99 + throughput and gate them against the default SLO")
 		loadClients  = flag.Int("loadclients", 4, "concurrent load clients for -loadurl")
 		loadDuration = flag.Duration("loadduration", 5*time.Second, "sustained-load duration for -loadurl")
-		loadJSON     = flag.String("loadjson", "", "write the load report as BENCH_LOAD_*.json to this file")
-		loadCompare  = flag.String("loadcompare", "", "gate the load run against the committed BENCH_LOAD_*.json baseline at this path")
 	)
 	flag.Parse()
 
@@ -214,16 +205,9 @@ func main() {
 		})
 	}
 
-	if *perfJSON != "" || *perfCompare != "" {
-		ran = true
-		if err := runPerf(progs, *suite, *perfJSON, *perfCompare, *perfThreshold, *allocThreshold); err != nil {
-			fail(err)
-		}
-	}
-
 	if *loadURL != "" {
 		ran = true
-		if err := runLoad(*loadURL, *loadClients, *loadDuration, *loadJSON, *loadCompare); err != nil {
+		if err := runLoad(*loadURL, *loadClients, *loadDuration); err != nil {
 			fail(err)
 		}
 	}
@@ -235,88 +219,20 @@ func main() {
 }
 
 // runLoad drives the sustained-load harness at a gate or replica and
-// then writes the report, gates it against a committed baseline, or
-// both (see DESIGN.md §16).
-func runLoad(url string, clients int, duration time.Duration, jsonPath, comparePath string) error {
-	rep, err := bench.RunLoad(bench.LoadOptions{
-		URL:      url,
-		Clients:  clients,
-		Duration: duration,
-		SLO:      bench.DefaultSLO,
-	})
+// gates the report against bench.DefaultSLO (see DESIGN.md §16).
+func runLoad(url string, clients int, duration time.Duration) error {
+	rep, err := bench.RunLoad(bench.LoadOptions{URL: url, Clients: clients, Duration: duration})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("load: %d requests (%d errors) in %.1fs — %.1f rps, p50 %.2fms p95 %.2fms p99 %.2fms\n",
 		rep.Requests, rep.Errors, rep.DurationSec, rep.ThroughputRPS, rep.P50Ms, rep.P95Ms, rep.P99Ms)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (schema %s)\n", jsonPath, bench.LoadSchema)
-	}
-	if comparePath != "" {
-		data, err := os.ReadFile(comparePath)
-		if err != nil {
-			return err
-		}
-		base, err := bench.ReadLoadReport(data)
-		if err != nil {
-			return err
-		}
-		if err := bench.CompareLoad(base, rep); err != nil {
-			return err
-		}
-		fmt.Printf("load SLO gate passed against %s (p99<=%.0fms, >=%.0f rps, err<=%.2f%%)\n",
-			comparePath, base.SLO.P99MsMax, base.SLO.ThroughputMin, base.SLO.ErrorRateMax*100)
-	}
-	return nil
-}
-
-// runPerf measures the perf report once and then writes it, gates it
-// against a committed baseline, or both.
-func runPerf(progs []*bench.Program, suite, jsonPath, comparePath string, wallThreshold, allocThreshold float64) error {
-	rep, err := bench.MeasurePerf(progs, suite)
-	if err != nil {
+	slo := bench.DefaultSLO
+	if err := bench.CheckSLO(rep, slo); err != nil {
 		return err
 	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d programs, schema %s)\n", jsonPath, len(rep.Entries), bench.PerfSchema)
-	}
-	if comparePath != "" {
-		data, err := os.ReadFile(comparePath)
-		if err != nil {
-			return err
-		}
-		base, err := bench.ReadPerfReport(data)
-		if err != nil {
-			return err
-		}
-		if err := bench.ComparePerf(base, rep, wallThreshold, allocThreshold); err != nil {
-			return err
-		}
-		fmt.Printf("perf gate passed against %s (wall threshold %.0f%%, alloc threshold %.0f%%)\n",
-			comparePath, wallThreshold*100, allocThreshold*100)
-	}
+	fmt.Printf("load SLO gate passed (p99<=%.0fms, >=%.0f rps, err<=%.2f%%)\n",
+		slo.P99MsMax, slo.ThroughputMin, slo.ErrorRateMax*100)
 	return nil
 }
 

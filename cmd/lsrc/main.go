@@ -8,7 +8,7 @@
 //	lsrc [flags] -e '(+ 1 2)'
 //	echo '(display "hi")' | lsrc [flags] -
 //
-// Flags select the save strategy (-saves lazy|early|late), restore
+// Flags select the save strategy (-saves lazy|early|late|simple), restore
 // policy (-restores eager|lazy), shuffler (-shuffle greedy|optimal|naive),
 // register counts (-argregs N -userregs N), the callee-save mode
 // (-calleesave N), and diagnostics (-dump, -stats, -validate, -verify,
@@ -58,7 +58,7 @@ func main() {
 	var (
 		expr      = flag.String("e", "", "evaluate this expression instead of a file")
 		benchName = flag.String("bench", "", "run the named benchmark from the evaluation suite")
-		saves     = flag.String("saves", "lazy", "save strategy: lazy, early or late")
+		saves     = flag.String("saves", "lazy", "save strategy: lazy, early, late or simple")
 		restores  = flag.String("restores", "eager", "restore policy: eager or lazy")
 		shuffle   = flag.String("shuffle", "greedy", "argument shuffler: greedy, optimal or naive")
 		argRegs   = flag.Int("argregs", 6, "argument registers (c)")

@@ -4,9 +4,10 @@
 // claim is that lazy saves (§2.1.2), eager restores (§3) and greedy
 // shuffling (§2.3, §3.1) minimize the register-traffic overhead of
 // calls, and these checks make the minimality claims machine-checkable
-// per compilation. It runs over the same per-procedure extents as the
-// verifier, reuses the vm.InstrEffects def-use decoder and the
-// verifier's PathFinder witness machinery, and reports:
+// per compilation. It runs over the same per-procedure extents
+// (dataflow.Extents) and CFGs as the verifier, reuses the
+// vm.InstrEffects def-use decoder and internal/dataflow's shortest-path
+// witness searches, and reports:
 //
 //   - redundant-save: a frame save whose slot is never read on any
 //     path before the frame dies — work a lazy save placement should
@@ -33,8 +34,8 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/dataflow"
 	"repro/internal/findings"
-	"repro/internal/verify"
 	"repro/internal/vm"
 )
 
@@ -220,19 +221,14 @@ func AnalyzeFrom(p *vm.Program, from int) *Report {
 
 func analyze(p *vm.Program, cm vm.CostModel, from int) *Report {
 	rep := &Report{Procs: make([]ProcCost, len(p.Procs))}
-	entryToProc := map[int]int{}
 	for i, info := range p.Procs {
 		rep.Procs[i].Name = info.Name
-		if _, dup := entryToProc[info.Entry]; !dup {
-			entryToProc[info.Entry] = i
-		}
 	}
-	for _, ext := range verify.Extents(p) {
-		idx, ok := entryToProc[ext.Start]
-		if !ok || ext.Start < from {
+	for _, ext := range dataflow.Extents(p) {
+		if ext.Start < from {
 			continue
 		}
-		pa := newProcAnalysis(p, cm, ext, idx, rep)
+		pa := newProcAnalysis(p, cm, ext, rep)
 		if pa == nil {
 			continue
 		}

@@ -33,7 +33,7 @@ func (pa *procAnalysis) costScan() {
 	// Control-flow join points, where pending-load state is discarded.
 	joins := map[int]bool{}
 	for pc := pa.start; pc < pa.end; pc++ {
-		if j := pa.pf.Effects(pc).Jump; j >= 0 {
+		if j := pa.g.Effects(pc).Jump; j >= 0 {
 			joins[j] = true
 		}
 	}

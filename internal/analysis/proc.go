@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/regset"
-	"repro/internal/verify"
 	"repro/internal/vm"
 )
 
@@ -26,7 +25,6 @@ type procAnalysis struct {
 	end     int
 	frame   int
 	nRegs   int
-	pf      *verify.PathFinder
 	g       *dataflow.Graph
 	rep     *Report
 	cost    *ProcCost
@@ -44,9 +42,9 @@ type procAnalysis struct {
 	shufflePC map[int]bool
 }
 
-func newProcAnalysis(p *vm.Program, cm vm.CostModel, ext verify.ProcExtent, procIdx int, rep *Report) *procAnalysis {
-	pf, ok := verify.NewPathFinder(p, ext.Start, ext.End)
-	if !ok {
+func newProcAnalysis(p *vm.Program, cm vm.CostModel, ext dataflow.Extent, rep *Report) *procAnalysis {
+	g, err := dataflow.NewGraph(p, ext.Start, ext.End)
+	if err != nil {
 		return nil
 	}
 	entry := p.Code[ext.Start]
@@ -58,15 +56,14 @@ func newProcAnalysis(p *vm.Program, cm vm.CostModel, ext verify.ProcExtent, proc
 		cfg:       p.Config,
 		cm:        cm,
 		info:      ext.Info,
-		procIdx:   procIdx,
+		procIdx:   ext.Index,
 		start:     ext.Start,
 		end:       ext.End,
 		frame:     entry.B,
 		nRegs:     p.Config.NumRegs(),
-		pf:        pf,
-		g:         pf.Graph(),
+		g:         g,
 		rep:       rep,
-		cost:      &rep.Procs[procIdx],
+		cost:      &rep.Procs[ext.Index],
 		recs:      ext.Shuffles,
 		shufflePC: map[int]bool{},
 	}
@@ -232,11 +229,11 @@ func (pa *procAnalysis) checkSavesAndRestores() {
 // saved slot dies: the first overwrite of the slot, or a procedure
 // exit. Because the slot is dead after pc, no path reads it first.
 func (pa *procAnalysis) slotDeathPath(pc, slot int) []int {
-	return pa.pf.PathFrom(pc, func(q int) bool {
+	return pa.g.PathFrom(pc, func(q int) bool {
 		if q == pc {
 			return false
 		}
-		e := pa.pf.Effects(q)
+		e := pa.g.Effects(q)
 		for _, s := range e.WriteSlots {
 			if s == slot {
 				return true
@@ -250,18 +247,18 @@ func (pa *procAnalysis) slotDeathPath(pc, slot int) []int {
 // restored register dies: the first redefinition or call clobber, or a
 // procedure exit.
 func (pa *procAnalysis) regDeathPath(pc, r int) []int {
-	return pa.pf.PathFrom(pc, func(q int) bool {
+	return pa.g.PathFrom(pc, func(q int) bool {
 		if q == pc {
 			return false
 		}
-		e := pa.pf.Effects(q)
+		e := pa.g.Effects(q)
 		return e.Defs.Has(r) || e.Clobbers.Has(r) || (e.IsExit && !e.FallsThrough && e.Jump < 0)
 	}, nil)
 }
 
 // witnessThrough joins the entry→pc witness with the pc→death tail.
 func (pa *procAnalysis) witnessThrough(pc int, tail []int) []int {
-	path := pa.pf.WitnessPath(pc)
+	path := pa.g.WitnessPath(pc)
 	if len(tail) > 1 {
 		path = append(path, tail[1:]...)
 	}

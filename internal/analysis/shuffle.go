@@ -213,7 +213,7 @@ func (pa *procAnalysis) checkShuffle(rec vm.ShuffleRecord) {
 			Excess: moves - minMoves,
 			Msg: fmt.Sprintf("shuffle starting at pc %d emits %d move(s) for an assignment solvable in %d — %d excess",
 				rec.StartPC, moves, minMoves, moves-minMoves),
-			Witness: pa.pf.WitnessPath(rec.CallPC),
+			Witness: pa.g.WitnessPath(rec.CallPC),
 		})
 	}
 	if temps > minTemps {
@@ -222,7 +222,7 @@ func (pa *procAnalysis) checkShuffle(rec vm.ShuffleRecord) {
 			Excess: temps - minTemps,
 			Msg: fmt.Sprintf("shuffle starting at pc %d uses %d temporarie(s) where the assignment's %d transfer cycle(s) require %d",
 				rec.StartPC, temps, cyclesOf(rec.Assigns), minTemps),
-			Witness: pa.pf.WitnessPath(rec.CallPC),
+			Witness: pa.g.WitnessPath(rec.CallPC),
 		})
 	}
 }

@@ -62,13 +62,3 @@ func All() []*Program {
 	})
 	return out
 }
-
-// Names returns all benchmark names in table order.
-func Names() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, p := range all {
-		out[i] = p.Name
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -12,49 +11,34 @@ import (
 	"time"
 )
 
-// LoadSchema identifies the sustained-load BENCH_LOAD_*.json format.
-// Bump the version when a field changes meaning; the comparer refuses
-// to compare across schema versions.
-const LoadSchema = "lsr/bench-load/v1"
-
-// SLO is the service-level objective a load run is gated against. The
-// bounds travel inside the committed baseline report, so the gate in
-// CI always applies the reviewed objective, not whatever a candidate
-// run claims about itself.
+// SLO is the service-level objective a load run is gated against.
 type SLO struct {
 	// P99MsMax bounds the 99th-percentile request latency.
-	P99MsMax float64 `json:"p99_ms_max"`
+	P99MsMax float64
 	// ThroughputMin bounds sustained successful requests per second
 	// from below.
-	ThroughputMin float64 `json:"throughput_rps_min"`
+	ThroughputMin float64
 	// ErrorRateMax bounds the non-2xx fraction of all requests.
-	ErrorRateMax float64 `json:"error_rate_max"`
+	ErrorRateMax float64
 }
 
-// LoadReport is the schema-versioned payload written to
-// BENCH_LOAD_*.json: one sustained-load run against the gate.
+// LoadReport is one sustained-load run against a gate or replica.
 type LoadReport struct {
-	Schema string `json:"schema"`
-	// Target is the base URL the load was driven at (recorded for
-	// provenance; localhost in CI).
-	Target string `json:"target"`
 	// Clients is the concurrent client count.
-	Clients int `json:"clients"`
+	Clients int
 	// DurationSec is the measured wall time of the run.
-	DurationSec float64 `json:"duration_sec"`
+	DurationSec float64
 	// Requests counts every request issued; Errors the non-2xx or
 	// transport-failed subset.
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
+	Requests int64
+	Errors   int64
 	// ThroughputRPS is successful requests per second of wall time.
-	ThroughputRPS float64 `json:"throughput_rps"`
+	ThroughputRPS float64
 	// P50Ms/P95Ms/P99Ms are latency percentiles over successful
 	// requests, in milliseconds.
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	// SLO is the objective this report was gated against.
-	SLO SLO `json:"slo"`
+	P50Ms float64
+	P95Ms float64
+	P99Ms float64
 }
 
 // LoadOptions configures a load run.
@@ -65,14 +49,12 @@ type LoadOptions struct {
 	Clients int
 	// Duration is how long to sustain load (0 = 5s).
 	Duration time.Duration
-	// SLO is embedded in the resulting report.
-	SLO SLO
 }
 
 // DefaultSLO is deliberately loose: CI machines are slow, shared and
 // jittery, so the gate exists to catch order-of-magnitude regressions
 // (a lost cache tier, an accidental serialization point), not
-// few-percent drift — that is the perf gate's job.
+// few-percent drift — that takes paired runs on one host (perfbench).
 var DefaultSLO = SLO{P99MsMax: 2000, ThroughputMin: 5, ErrorRateMax: 0.01}
 
 // loadCorpus is the request mix: repeated sources (cache-hit path,
@@ -140,8 +122,6 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	}
 	sort.Float64s(lats)
 	return &LoadReport{
-		Schema:        LoadSchema,
-		Target:        opts.URL,
 		Clients:       opts.Clients,
 		DurationSec:   round2(wall),
 		Requests:      reqs,
@@ -150,7 +130,6 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		P50Ms:         round2(percentile(lats, 0.50)),
 		P95Ms:         round2(percentile(lats, 0.95)),
 		P99Ms:         round2(percentile(lats, 0.99)),
-		SLO:           opts.SLO,
 	}, nil
 }
 
@@ -168,29 +147,7 @@ func percentile(sorted []float64, q float64) float64 {
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
 
-// WriteJSON renders the report as indented JSON with a trailing
-// newline, the exact bytes committed as BENCH_LOAD_*.json.
-func (r *LoadReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadLoadReport parses a BENCH_LOAD_*.json payload and checks its
-// schema.
-func ReadLoadReport(data []byte) (*LoadReport, error) {
-	var r LoadReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("load: parse baseline: %w", err)
-	}
-	if r.Schema != LoadSchema {
-		return nil, fmt.Errorf("load: baseline schema %q, want %q", r.Schema, LoadSchema)
-	}
-	return &r, nil
-}
-
-// CheckSLO gates a report against an objective. Used directly on a
-// fresh run (CI) and by CompareLoad for baseline-vs-candidate.
+// CheckSLO gates a report against an objective.
 func CheckSLO(r *LoadReport, slo SLO) error {
 	var problems []string
 	if slo.P99MsMax > 0 && r.P99Ms > slo.P99MsMax {
@@ -209,15 +166,4 @@ func CheckSLO(r *LoadReport, slo SLO) error {
 		return fmt.Errorf("load SLO gate failed:\n  %s", strings.Join(problems, "\n  "))
 	}
 	return nil
-}
-
-// CompareLoad gates a candidate run against the committed baseline:
-// the candidate must meet the baseline's SLO bounds. The bounds come
-// from the baseline (the reviewed artifact), so a candidate cannot
-// loosen its own gate.
-func CompareLoad(base, cur *LoadReport) error {
-	if base.Schema != cur.Schema {
-		return fmt.Errorf("load: schema mismatch: baseline %q, candidate %q", base.Schema, cur.Schema)
-	}
-	return CheckSLO(cur, base.SLO)
 }

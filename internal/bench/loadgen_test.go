@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,8 +9,8 @@ import (
 	"time"
 )
 
-// TestRunLoadAgainstFake: the generator sustains traffic, computes
-// sane percentiles, and the report round-trips through its JSON form.
+// TestRunLoadAgainstFake: the generator sustains traffic over the whole
+// mix and computes sane percentiles.
 func TestRunLoadAgainstFake(t *testing.T) {
 	// Handlers run on concurrent server goroutines, so the per-path
 	// counts are guarded.
@@ -27,7 +26,7 @@ func TestRunLoadAgainstFake(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	rep, err := RunLoad(LoadOptions{URL: srv.URL, Clients: 2, Duration: 200 * time.Millisecond, SLO: DefaultSLO})
+	rep, err := RunLoad(LoadOptions{URL: srv.URL, Clients: 2, Duration: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +37,6 @@ func TestRunLoadAgainstFake(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	if rep.Schema != LoadSchema {
-		t.Errorf("schema %q", rep.Schema)
-	}
 	if rep.Requests == 0 || rep.Errors != 0 {
 		t.Errorf("requests=%d errors=%d", rep.Requests, rep.Errors)
 	}
@@ -52,18 +48,6 @@ func TestRunLoadAgainstFake(t *testing.T) {
 	}
 	if err := CheckSLO(rep, DefaultSLO); err != nil {
 		t.Errorf("trivial local run failed the default SLO: %v", err)
-	}
-
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadLoadReport(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *back != *rep {
-		t.Errorf("report did not round-trip: %+v vs %+v", back, rep)
 	}
 }
 
@@ -79,64 +63,37 @@ func TestRunLoadAllErrors(t *testing.T) {
 	}
 }
 
-// TestCompareLoadSeededRegression is the negative proof for the CI
-// gate: a candidate whose p99, throughput or error rate violates the
-// committed baseline's SLO bounds must fail CompareLoad.
+// TestCompareLoadSeededRegression is the negative proof for the load
+// gate: a run whose p99, throughput or error rate violates DefaultSLO,
+// the objective lsrbench -loadurl applies, must fail CheckSLO.
 func TestCompareLoadSeededRegression(t *testing.T) {
-	base := &LoadReport{
-		Schema: LoadSchema, Clients: 8, DurationSec: 10,
+	good := LoadReport{
+		Clients: 8, DurationSec: 10,
 		Requests: 1000, Errors: 0,
 		ThroughputRPS: 100, P50Ms: 5, P95Ms: 20, P99Ms: 50,
-		SLO: SLO{P99MsMax: 2000, ThroughputMin: 5, ErrorRateMax: 0.01},
 	}
-	good := *base
-	if err := CompareLoad(base, &good); err != nil {
-		t.Fatalf("healthy candidate failed the gate: %v", err)
+	if err := CheckSLO(&good, DefaultSLO); err != nil {
+		t.Fatalf("healthy run failed the gate: %v", err)
 	}
 
-	slowP99 := *base
+	slowP99 := good
 	slowP99.P99Ms = 5000
-	if err := CompareLoad(base, &slowP99); err == nil {
+	if err := CheckSLO(&slowP99, DefaultSLO); err == nil {
 		t.Error("p99 regression passed the gate")
 	} else if !strings.Contains(err.Error(), "p99") {
 		t.Errorf("p99 regression error does not name the metric: %v", err)
 	}
 
-	slowTput := *base
+	slowTput := good
 	slowTput.ThroughputRPS = 1
-	if err := CompareLoad(base, &slowTput); err == nil {
+	if err := CheckSLO(&slowTput, DefaultSLO); err == nil {
 		t.Error("throughput regression passed the gate")
 	}
 
-	errors := *base
+	errors := good
 	errors.Errors = 100
-	if err := CompareLoad(base, &errors); err == nil {
+	if err := CheckSLO(&errors, DefaultSLO); err == nil {
 		t.Error("error-rate regression passed the gate")
-	}
-
-	// The candidate cannot loosen its own gate: bounds come from the
-	// baseline even if the candidate report carries laxer ones.
-	lax := slowP99
-	lax.SLO = SLO{P99MsMax: 1e9}
-	if err := CompareLoad(base, &lax); err == nil {
-		t.Error("candidate with self-declared lax SLO passed the gate")
-	}
-
-	wrongSchema := *base
-	wrongSchema.Schema = "lsr/bench-load/v0"
-	if err := CompareLoad(base, &wrongSchema); err == nil {
-		t.Error("schema mismatch passed the gate")
-	}
-}
-
-// TestReadLoadReportRejectsWrongSchema mirrors the perf reader's
-// contract.
-func TestReadLoadReportRejectsWrongSchema(t *testing.T) {
-	if _, err := ReadLoadReport([]byte(`{"schema":"nope"}`)); err == nil {
-		t.Fatal("wrong schema accepted")
-	}
-	if _, err := ReadLoadReport([]byte(`{garbage`)); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

@@ -308,6 +308,30 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
+// TestParseOptionNames: every name an option's String prints parses
+// back to that option, and an unknown name lists the known ones.
+func TestParseOptionNames(t *testing.T) {
+	for _, s := range []SaveStrategy{SaveLazy, SaveEarly, SaveLate, SaveSimple} {
+		if got, err := ParseSaveStrategy(s.String()); err != nil || got != s {
+			t.Errorf("ParseSaveStrategy(%q) = %v, %v", s, got, err)
+		}
+	}
+	for _, r := range []RestorePolicy{RestoreEager, RestoreLazy} {
+		if got, err := ParseRestorePolicy(r.String()); err != nil || got != r {
+			t.Errorf("ParseRestorePolicy(%q) = %v, %v", r, got, err)
+		}
+	}
+	for _, m := range []ShuffleMethod{ShuffleGreedy, ShuffleOptimal, ShuffleNaive} {
+		if got, err := ParseShuffleMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseShuffleMethod(%q) = %v, %v", m, got, err)
+		}
+	}
+	_, err := ParseSaveStrategy("?")
+	if want := `unknown save strategy "?" (want lazy, early, late or simple)`; err == nil || err.Error() != want {
+		t.Errorf("ParseSaveStrategy(?) error = %v, want %s", err, want)
+	}
+}
+
 func TestSlotReads(t *testing.T) {
 	slotVar := &ir.Var{Name: "s", Loc: ir.Loc{Kind: ir.LocSlot, Index: 2}, SaveSlot: -1, CSReg: -1}
 	regVar := &ir.Var{Name: "r", Loc: ir.Loc{Kind: ir.LocReg, Index: 5}, SaveSlot: -1, CSReg: -1}

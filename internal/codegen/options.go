@@ -12,6 +12,7 @@ package codegen
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/vm"
 )
@@ -39,19 +40,20 @@ const (
 	SaveSimple
 )
 
-func (s SaveStrategy) String() string {
-	switch s {
-	case SaveLazy:
-		return "lazy"
-	case SaveEarly:
-		return "early"
-	case SaveLate:
-		return "late"
-	case SaveSimple:
-		return "simple"
-	default:
-		return fmt.Sprintf("SaveStrategy(%d)", int(s))
-	}
+// saveNames, restoreNames and shuffleNames are the options' names, as
+// String prints them and the Parse functions read them.
+var (
+	saveNames    = []string{SaveLazy: "lazy", SaveEarly: "early", SaveLate: "late", SaveSimple: "simple"}
+	restoreNames = []string{RestoreEager: "eager", RestoreLazy: "lazy"}
+	shuffleNames = []string{ShuffleGreedy: "greedy", ShuffleOptimal: "optimal", ShuffleNaive: "naive"}
+)
+
+func (s SaveStrategy) String() string { return optionName(saveNames, int(s), "SaveStrategy") }
+
+// ParseSaveStrategy reads a name SaveStrategy.String prints.
+func ParseSaveStrategy(name string) (SaveStrategy, error) {
+	i, err := parseOption(saveNames, name, "save strategy")
+	return SaveStrategy(i), err
 }
 
 // RestorePolicy selects §2.2's restore placement.
@@ -66,11 +68,12 @@ const (
 	RestoreLazy
 )
 
-func (r RestorePolicy) String() string {
-	if r == RestoreLazy {
-		return "lazy"
-	}
-	return "eager"
+func (r RestorePolicy) String() string { return optionName(restoreNames, int(r), "RestorePolicy") }
+
+// ParseRestorePolicy reads a name RestorePolicy.String prints.
+func ParseRestorePolicy(name string) (RestorePolicy, error) {
+	i, err := parseOption(restoreNames, name, "restore policy")
+	return RestorePolicy(i), err
 }
 
 // ShuffleMethod selects the argument-shuffling algorithm of §2.3.
@@ -87,15 +90,31 @@ const (
 	ShuffleNaive
 )
 
-func (s ShuffleMethod) String() string {
-	switch s {
-	case ShuffleOptimal:
-		return "optimal"
-	case ShuffleNaive:
-		return "naive"
-	default:
-		return "greedy"
+func (s ShuffleMethod) String() string { return optionName(shuffleNames, int(s), "ShuffleMethod") }
+
+// ParseShuffleMethod reads a name ShuffleMethod.String prints.
+func ParseShuffleMethod(name string) (ShuffleMethod, error) {
+	i, err := parseOption(shuffleNames, name, "shuffle method")
+	return ShuffleMethod(i), err
+}
+
+// optionName is names[i], or Type(i) for a value with no name.
+func optionName(names []string, i int, typ string) string {
+	if i >= 0 && i < len(names) {
+		return names[i]
 	}
+	return fmt.Sprintf("%s(%d)", typ, i)
+}
+
+// parseOption is the index of name in names.
+func parseOption(names []string, name, what string) (int, error) {
+	for i, n := range names {
+		if n == name {
+			return i, nil
+		}
+	}
+	want := strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+	return 0, fmt.Errorf("unknown %s %q (want %s)", what, name, want)
 }
 
 // Options configures a compilation.

@@ -127,10 +127,8 @@ func OrSets(e1, e2 SaveSets) SaveSets {
 // --- the simple algorithm of §2.1.1, kept for comparison and ablation ---
 
 // SimpleSets is the one-set save function S[E] of the simple algorithm.
+// Its zero value is a leaf's: S[x] = S[true] = S[false] = ∅.
 type SimpleSets struct{ S regset.Set }
-
-// SimpleLeaf is S[x] = S[true] = S[false] = ∅.
-func SimpleLeaf() SimpleSets { return SimpleSets{} }
 
 // SimpleCall is S[call] = {r | r live after the call}.
 func SimpleCall(liveAfter regset.Set) SimpleSets { return SimpleSets{S: liveAfter} }

@@ -95,9 +95,6 @@ type CallGraph struct {
 	extOf []int
 }
 
-// ExtentOf returns the position in Extents of procedure procIdx, or -1.
-func (cg *CallGraph) ExtentOf(procIdx int) int { return cg.extOf[procIdx] }
-
 // calleeState is the tracker's per-point state: one lattice value per
 // register, then one per frame slot. Frame slots matter because the
 // allocator parks closure values in the frame across calls — a

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/vm"
 )
@@ -140,19 +141,23 @@ func (g *Graph) buildBlocks() {
 
 // Extent is one procedure's contiguous code region [Start, End) plus
 // its metadata. Procedures are emitted contiguously, so a body runs
-// from its entry to the next entry (or the end of the code).
+// from its entry to the next entry (or the end of the code). The
+// verifier, the lint and the call graph all walk these extents.
 type Extent struct {
 	Info  vm.ProcInfo
 	Index int // index into Program.Procs
 	Start int
 	End   int
+	// Shuffles indexes the program's shuffle records whose StartPC lies
+	// in the extent, in record order.
+	Shuffles []int
 }
 
 // Extents computes every procedure's code extent in address order,
 // skipping procedures whose entry lies outside the code (the verifier
 // reports those as violations).
 func Extents(p *vm.Program) []Extent {
-	var out []Extent
+	out := make([]Extent, 0, len(p.Procs))
 	for i, info := range p.Procs {
 		if info.Entry <= 0 || info.Entry >= len(p.Code) {
 			continue
@@ -171,6 +176,14 @@ func Extents(p *vm.Program) []Extent {
 			out[i].End = out[i+1].Start
 		} else {
 			out[i].End = len(p.Code)
+		}
+	}
+	// Bucket the shuffle records by the extent their start lies in; the
+	// extents are sorted and contiguous.
+	for i, rec := range p.Shuffles {
+		j := sort.Search(len(out), func(j int) bool { return out[j].End > rec.StartPC })
+		if j < len(out) && rec.StartPC >= out[j].Start {
+			out[j].Shuffles = append(out[j].Shuffles, i)
 		}
 	}
 	return out

@@ -37,40 +37,20 @@ func (o *OptionsRequest) toCompiler() (compiler.Options, error) {
 	if o == nil {
 		return opts, nil
 	}
+	var err error
 	if o.Saves != "" {
-		switch o.Saves {
-		case "lazy":
-			opts.Saves = codegen.SaveLazy
-		case "early":
-			opts.Saves = codegen.SaveEarly
-		case "late":
-			opts.Saves = codegen.SaveLate
-		case "simple":
-			opts.Saves = codegen.SaveSimple
-		default:
-			return opts, fmt.Errorf("unknown save strategy %q (want lazy, early, late or simple)", o.Saves)
+		if opts.Saves, err = codegen.ParseSaveStrategy(o.Saves); err != nil {
+			return opts, err
 		}
 	}
 	if o.Restores != "" {
-		switch o.Restores {
-		case "eager":
-			opts.Restores = codegen.RestoreEager
-		case "lazy":
-			opts.Restores = codegen.RestoreLazy
-		default:
-			return opts, fmt.Errorf("unknown restore policy %q (want eager or lazy)", o.Restores)
+		if opts.Restores, err = codegen.ParseRestorePolicy(o.Restores); err != nil {
+			return opts, err
 		}
 	}
 	if o.Shuffle != "" {
-		switch o.Shuffle {
-		case "greedy":
-			opts.Shuffle = codegen.ShuffleGreedy
-		case "optimal":
-			opts.Shuffle = codegen.ShuffleOptimal
-		case "naive":
-			opts.Shuffle = codegen.ShuffleNaive
-		default:
-			return opts, fmt.Errorf("unknown shuffle method %q (want greedy, optimal or naive)", o.Shuffle)
+		if opts.Shuffle, err = codegen.ParseShuffleMethod(o.Shuffle); err != nil {
+			return opts, err
 		}
 	}
 	if o.ArgRegs != nil {
@@ -136,29 +116,12 @@ type RunRequest struct {
 	MaxSteps int64 `json:"max_steps,omitempty"`
 	// Validate poisons caller-save registers at call boundaries.
 	Validate bool `json:"validate,omitempty"`
-	// Engine selects the execution engine: "threaded" (the pre-decoded
-	// engine, the default) or "switch" (the reference decode-every-step
-	// loop). Both produce identical values and counters; "switch"
-	// exists for differential debugging against the reference
-	// semantics.
-	Engine string `json:"engine,omitempty"`
 	// Counters selects the counter fidelity: "full" (the default;
 	// every field of the response's counters is populated) or
 	// "essential" (the counters-off fast path: instructions, cycles,
 	// stalls and stack references are still exact, but calls,
 	// tail_calls and activations read zero).
 	Counters string `json:"counters,omitempty"`
-}
-
-// engineKind lowers RunRequest.Engine.
-func engineKind(s string) (vm.EngineKind, error) {
-	switch s {
-	case "", "threaded":
-		return vm.EngineThreaded, nil
-	case "switch":
-		return vm.EngineSwitch, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want threaded or switch)", s)
 }
 
 // counterMode lowers RunRequest.Counters.

@@ -165,7 +165,7 @@ type Service struct {
 	drainGauge    *metrics.Gauge
 	fuelExhausted *metrics.Counter
 	compiles      *metrics.CounterVec
-	runs          *metrics.CounterVec
+	runs          *metrics.Counter
 	batchItems    *metrics.CounterVec
 	saveSites     *metrics.CounterVec
 	restoreSites  *metrics.CounterVec
@@ -221,8 +221,8 @@ func NewWithError(cfg Config, logger *slog.Logger) (*Service, error) {
 		"Runs terminated by the execution fuel budget.")
 	s.compiles = s.reg.NewCounterVec("lsrd_compiles_total",
 		"Actual (non-cached) compilations by save strategy.", "saves")
-	s.runs = s.reg.NewCounterVec("lsrd_runs_total",
-		"Program executions by engine.", "engine")
+	s.runs = s.reg.NewCounter("lsrd_runs_total",
+		"Program executions.")
 	s.batchItems = s.reg.NewCounterVec("lsrd_batch_items_total",
 		"Units processed through /v1/batch by per-item outcome kind (ok or error kind).", "kind")
 	s.tenantReqs = s.reg.NewCounterVec("lsrd_tenant_requests_total",
@@ -521,10 +521,6 @@ func (s *Service) handleRun(ctx context.Context, body []byte) (any, int, *Error)
 	if oerr != nil {
 		return nil, 0, errOf(KindBadRequest, "%v", oerr)
 	}
-	engine, eerr := engineKind(req.Engine)
-	if eerr != nil {
-		return nil, 0, errOf(KindBadRequest, "%v", eerr)
-	}
 	mode, merr := counterMode(req.Counters)
 	if merr != nil {
 		return nil, 0, errOf(KindBadRequest, "%v", merr)
@@ -549,15 +545,10 @@ func (s *Service) handleRun(ctx context.Context, body []byte) (any, int, *Error)
 	var out limitedBuffer
 	out.limit = int(s.cfg.MaxOutputBytes)
 	m := vm.New(c.Program, &out)
-	m.Engine = engine
 	m.Counting = mode
 	m.MaxSteps = fuel
 	m.ValidateRestores = req.Validate
-	engineName := "threaded"
-	if engine == vm.EngineSwitch {
-		engineName = "switch"
-	}
-	s.runs.With(engineName).Inc()
+	s.runs.Inc()
 	v, rerr := m.Run()
 	if rerr != nil {
 		return nil, 0, &Error{Kind: Classify(StageRun, rerr), Message: rerr.Error()}

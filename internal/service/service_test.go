@@ -509,74 +509,54 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-// TestRunEngineAndCounters exercises the engine and counter-mode
-// selectors of /v1/run: both engines must produce identical values and
-// identical counters, essential mode must keep the cost-model outputs
-// while zeroing the diagnostic ones, and bad selectors are
-// bad-request errors.
+// TestRunEngineAndCounters exercises the counter-mode selector of
+// /v1/run: essential mode must keep the cost-model outputs of the full
+// default while zeroing the diagnostic ones, and a bad selector is a
+// bad-request error. (The engine is not selectable: the reference
+// switch loop is the vm tests' oracle, not a serving option.)
 func TestRunEngineAndCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	src := `(define (f n acc) (if (zero? n) acc (f (- n 1) (+ acc n)))) (f 100 0)`
 
-	var byEngine []RunResponse
-	for _, engine := range []string{"threaded", "switch"} {
-		code, body := post(t, ts, "/v1/run", RunRequest{Source: src, Engine: engine})
+	byMode := map[string]RunResponse{}
+	for _, mode := range []string{"", "essential"} {
+		code, body := post(t, ts, "/v1/run", RunRequest{Source: src, Counters: mode})
 		if code != http.StatusOK {
-			t.Fatalf("run engine=%s: status %d: %s", engine, code, body)
+			t.Fatalf("run counters=%q: status %d: %s", mode, code, body)
 		}
 		var resp RunResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if resp.Value != "5050" {
-			t.Errorf("engine=%s value = %q, want 5050", engine, resp.Value)
+			t.Errorf("counters=%q value = %q, want 5050", mode, resp.Value)
 		}
-		byEngine = append(byEngine, resp)
+		byMode[mode] = resp
 	}
-	if byEngine[0].Counters != byEngine[1].Counters {
-		t.Errorf("engines disagree on counters:\nthreaded: %+v\nswitch:   %+v",
-			byEngine[0].Counters, byEngine[1].Counters)
+	full, ess := byMode[""].Counters, byMode["essential"].Counters
+	if ess.Instructions != full.Instructions || ess.Cycles != full.Cycles ||
+		ess.StallCycles != full.StallCycles ||
+		ess.StackReads != full.StackReads || ess.StackWrites != full.StackWrites {
+		t.Errorf("essential cost-model counters diverge: %+v vs %+v", ess, full)
 	}
-
-	code, body := post(t, ts, "/v1/run", RunRequest{Source: src, Counters: "essential"})
-	if code != http.StatusOK {
-		t.Fatalf("run counters=essential: status %d: %s", code, body)
+	if full.Activations == 0 {
+		t.Errorf("full mode left diagnostic counters empty: %+v", full)
 	}
-	var ess RunResponse
-	if err := json.Unmarshal(body, &ess); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	full := byEngine[0].Counters
-	if ess.Counters.Instructions != full.Instructions || ess.Counters.Cycles != full.Cycles ||
-		ess.Counters.StallCycles != full.StallCycles ||
-		ess.Counters.StackReads != full.StackReads || ess.Counters.StackWrites != full.StackWrites {
-		t.Errorf("essential cost-model counters diverge: %+v vs %+v", ess.Counters, full)
-	}
-	if ess.Counters.Activations != 0 || ess.Counters.Calls != 0 {
-		t.Errorf("essential mode populated diagnostic counters: %+v", ess.Counters)
+	if ess.Activations != 0 || ess.Calls != 0 {
+		t.Errorf("essential mode populated diagnostic counters: %+v", ess)
 	}
 
-	for _, bad := range []RunRequest{
-		{Source: src, Engine: "warp"},
-		{Source: src, Counters: "most"},
-	} {
-		code, body := post(t, ts, "/v1/run", bad)
-		if code != http.StatusBadRequest {
-			t.Errorf("bad selector %+v: status %d: %s", bad, code, body)
-		}
+	code, body := post(t, ts, "/v1/run", RunRequest{Source: src, Counters: "most"})
+	if code != http.StatusBadRequest {
+		t.Errorf("bad counters selector: status %d: %s", code, body)
 	}
 
-	// The runs-by-engine metric counted every successful execution.
+	// The runs metric counted every successful execution.
 	code, body = get(t, ts, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
-	for _, want := range []string{
-		`lsrd_runs_total{engine="threaded"}`,
-		`lsrd_runs_total{engine="switch"} 1`,
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("metrics missing %s", want)
-		}
+	if want := "lsrd_runs_total 2\n"; !strings.Contains(string(body), want) {
+		t.Errorf("metrics missing %q", want)
 	}
 }

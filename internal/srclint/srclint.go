@@ -23,6 +23,7 @@ package srclint
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -76,6 +77,15 @@ func Run(opts Options) (*Result, error) {
 		selected[a] = true
 	}
 	want := func(name string) bool { return len(selected) == 0 || selected[name] }
+
+	// Findings name files relative to the root, which filepath.Rel can
+	// only do against an absolute root: the loaded files' names are
+	// absolute.
+	root, err := filepath.Abs(opts.Root)
+	if err != nil {
+		return nil, fmt.Errorf("srclint: %v", err)
+	}
+	opts.Root = root
 
 	// Both analyzers read the same type-checked module. Load it once up
 	// front so the per-analyzer spans measure analysis, not the shared

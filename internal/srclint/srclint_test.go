@@ -144,3 +144,37 @@ func copyTree(src, dst string) error {
 		return out.Close()
 	})
 }
+
+// TestRelativeRootPositions runs the suite the way lsrvet does with its
+// default -root ., from inside a module: findings must name their files
+// relative to the root, not by absolute path.
+func TestRelativeRootPositions(t *testing.T) {
+	dir := t.TempDir()
+	seed(t, filepath.Join(dir, "go.mod"), "module vmtest\n\ngo 1.22\n")
+	seed(t, filepath.Join(dir, "vmtest.go"), immutSrc)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+
+	res, err := Run(Options{Root: ".", Analyzers: []string{"immutable"}, Immutable: immutCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Findings) == 0 {
+		t.Fatal("the seeded module produced no findings")
+	}
+	for _, f := range res.Findings {
+		if f.File != "vmtest.go" {
+			t.Errorf("finding at %s:%d, want the root-relative vmtest.go", f.File, f.Line)
+		}
+	}
+}

@@ -21,8 +21,7 @@ const CodecVersion = 1
 // encodeCompiled serializes a compilation result. Only plain
 // compilations are persistable: a Compiled carrying a lint report is
 // refused (the report holds analyzer structures that are cheap to
-// recompute and are not part of the shared-cache contract), and the IR
-// is always dropped (it exists for dump tooling, not for serving).
+// recompute and are not part of the shared-cache contract).
 func encodeCompiled(c *compiler.Compiled) ([]byte, error) {
 	if c == nil || c.Program == nil {
 		return nil, fmt.Errorf("store: nil compilation")

@@ -37,8 +37,8 @@ type procVerifier struct {
 	syms *symtab
 	// eff caches per-instruction effects (indexed pc-start).
 	eff []vm.Effects
-	// pf wraps eff for CFG walks and witness searches.
-	pf *PathFinder
+	// g is the CFG over eff, for the fixpoints and witness searches.
+	g *dataflow.Graph
 	// pairsAfter is the backward restore-pair analysis result at each
 	// call (indexed pc-start, nil elsewhere): the save/restore
 	// obligations live immediately after it, a bitset over pairList.
@@ -73,7 +73,7 @@ type violationKey struct {
 	slot int
 }
 
-func newProcVerifier(p *vm.Program, ext ProcExtent) *procVerifier {
+func newProcVerifier(p *vm.Program, ext dataflow.Extent) *procVerifier {
 	return &procVerifier{
 		p:     p,
 		recs:  ext.Shuffles,
@@ -110,7 +110,7 @@ func (pv *procVerifier) run(out *[]Violation) {
 	if !pv.prescan() {
 		return // structurally broken; dataflow would be meaningless
 	}
-	pv.pf = pathFinderFor(pv.start, pv.end, pv.eff)
+	pv.g = dataflow.GraphFromEffects(pv.start, pv.end, pv.eff)
 	pv.restorePairs()
 	pv.checkPass(pv.fixpoint())
 }
@@ -334,7 +334,7 @@ func (pv *procVerifier) restorePairs() {
 	for id, pr := range pv.pairList {
 		pp.slotPairs[pr.slot] = append(pp.slotPairs[pr.slot], id)
 	}
-	dataflow.SolveBackward[[]uint64](pv.pf.Graph(), pp, maxPasses).Replay(func(pc int, out []uint64) []uint64 {
+	dataflow.SolveBackward[[]uint64](pv.g, pp, maxPasses).Replay(func(pc int, out []uint64) []uint64 {
 		if op := pv.p.Code[pc].Op; op == vm.OpCall || op == vm.OpCallCC {
 			pv.pairsAfter[pc-pv.start] = append([]uint64(nil), out...)
 		}
@@ -402,7 +402,7 @@ func (ap absintProblem) Join(dst, src state) (state, bool) {
 // reachable block. Bodies are forward DAGs, so increasing-address
 // passes converge quickly; a pass cap reports Unverifiable otherwise.
 func (pv *procVerifier) fixpoint() *dataflow.Forward[state] {
-	sol := dataflow.SolveForward[state](pv.pf.Graph(), absintProblem{pv}, maxPasses)
+	sol := dataflow.SolveForward[state](pv.g, absintProblem{pv}, maxPasses)
 	if !sol.Converged {
 		pv.report(Violation{Kind: Unverifiable, PC: pv.start, Reg: -1, Slot: -1, CallPC: -1,
 			Msg: fmt.Sprintf("fixpoint did not converge in %d passes", maxPasses)})

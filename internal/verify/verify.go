@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/dataflow"
 	"repro/internal/findings"
 	"repro/internal/vm"
 )
@@ -245,7 +246,15 @@ func Procedures(p *vm.Program, from int) []Violation {
 // procedures checks every procedure's entry and verifies the bodies at
 // or after from, each with a symbol table of its own.
 func procedures(p *vm.Program, from int, out *[]Violation) {
-	for _, ext := range extents(p, out) {
+	for _, info := range p.Procs {
+		if info.Entry <= 0 || info.Entry >= len(p.Code) {
+			*out = append(*out, Violation{
+				Kind: BadOperand, Proc: info.Name, PC: info.Entry, Reg: -1, Slot: -1, CallPC: -1,
+				Msg: fmt.Sprintf("procedure entry %d outside code (len %d)", info.Entry, len(p.Code)),
+			})
+		}
+	}
+	for _, ext := range dataflow.Extents(p) {
 		if ext.Start >= from {
 			newProcVerifier(p, ext).run(out)
 		}
@@ -267,58 +276,4 @@ func Check(p *vm.Program) error {
 		return &Error{Violations: vs}
 	}
 	return nil
-}
-
-// ProcExtent is one procedure's contiguous code extent [Start, End),
-// with the shuffle records that start in it. The verifier and its
-// sibling static passes (internal/analysis) walk the same extents.
-type ProcExtent struct {
-	Info  vm.ProcInfo
-	Start int
-	End   int
-	// Shuffles indexes the program's shuffle records whose StartPC lies
-	// in the extent, in record order.
-	Shuffles []int
-}
-
-// Extents computes every procedure's code extent, in address order.
-// Procedures whose entry lies outside the code are skipped (the
-// verifier reports those as violations).
-func Extents(p *vm.Program) []ProcExtent {
-	var discard []Violation
-	return extents(p, &discard)
-}
-
-// extents computes each procedure's extent: procedures are emitted
-// contiguously, so a body runs from its entry to the next entry (or the
-// end of the code). Out-of-range entries are reported and skipped.
-func extents(p *vm.Program, out *[]Violation) []ProcExtent {
-	var rs []ProcExtent
-	for _, info := range p.Procs {
-		if info.Entry <= 0 || info.Entry >= len(p.Code) {
-			*out = append(*out, Violation{
-				Kind: BadOperand, Proc: info.Name, PC: info.Entry, Reg: -1, Slot: -1, CallPC: -1,
-				Msg: fmt.Sprintf("procedure entry %d outside code (len %d)", info.Entry, len(p.Code)),
-			})
-			continue
-		}
-		rs = append(rs, ProcExtent{Info: info, Start: info.Entry})
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })
-	for i := range rs {
-		if i+1 < len(rs) {
-			rs[i].End = rs[i+1].Start
-		} else {
-			rs[i].End = len(p.Code)
-		}
-	}
-	// Bucket the shuffle records by the extent their start lies in; the
-	// extents are sorted and contiguous.
-	for i, rec := range p.Shuffles {
-		j := sort.Search(len(rs), func(j int) bool { return rs[j].End > rec.StartPC })
-		if j < len(rs) && rec.StartPC >= rs[j].Start {
-			rs[j].Shuffles = append(rs[j].Shuffles, i)
-		}
-	}
-	return rs
 }

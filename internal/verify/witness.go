@@ -2,89 +2,20 @@ package verify
 
 // Witness reconstruction: a reported violation carries one concrete
 // static path from the procedure entry to the offending instruction
-// along which the cell is in the bad state. The searches live in
-// internal/dataflow (Graph.CellPath, Graph.PathFrom); PathFinder is the
-// thin wrapper this package and internal/analysis historically used,
-// kept as the stable per-extent handle.
+// along which the cell is in the bad state. The searches are
+// internal/dataflow's (Graph.CellPath, Graph.WitnessPath) over the
+// procedure's CFG.
 
-import (
-	"repro/internal/dataflow"
-	"repro/internal/vm"
-)
+import "repro/internal/vm"
 
-// Cell states for PathFinder.WitnessCell's single-cell simulation.
+// Cell states for the witness searches' single-cell simulation.
 const (
-	CellUndef uint8 = iota
-	CellDef
-	CellClob
-	// NumCellStates is the size of the simulated state space.
-	NumCellStates = 3
+	cUndef uint8 = iota
+	cDef
+	cClob
+	// nCellStates is the size of the simulated state space.
+	nCellStates = 3
 )
-
-// Legacy aliases used by the verifier internals.
-const (
-	cUndef = CellUndef
-	cDef   = CellDef
-	cClob  = CellClob
-)
-
-// PathFinder walks one procedure extent's control-flow graph. It is a
-// veneer over dataflow.Graph: per-instruction effects, successor
-// edges, and the shortest-path searches used to build violation
-// witnesses.
-type PathFinder struct {
-	g *dataflow.Graph
-}
-
-// NewPathFinder builds a PathFinder for the instructions [start, end)
-// of p. It returns ok=false when the extent is too malformed to walk:
-// an unknown opcode, a jump leaving the extent, or control falling off
-// the end (the verifier reports those structurally; path search over
-// them would be meaningless).
-func NewPathFinder(p *vm.Program, start, end int) (*PathFinder, bool) {
-	g, err := dataflow.NewGraph(p, start, end)
-	if err != nil {
-		return nil, false
-	}
-	return &PathFinder{g: g}, true
-}
-
-// pathFinderFor wraps an effects slice the verifier already built.
-func pathFinderFor(start, end int, eff []vm.Effects) *PathFinder {
-	return &PathFinder{g: dataflow.GraphFromEffects(start, end, eff)}
-}
-
-// Graph exposes the underlying CFG for fixpoint runs.
-func (pf *PathFinder) Graph() *dataflow.Graph { return pf.g }
-
-// Start and End delimit the extent.
-func (pf *PathFinder) Start() int { return pf.g.Start() }
-func (pf *PathFinder) End() int   { return pf.g.End() }
-
-// Effects returns the cached def/use effects of the instruction at pc.
-func (pf *PathFinder) Effects(pc int) vm.Effects { return pf.g.Effects(pc) }
-
-// Succs lists pc's intra-procedure successors into buf.
-func (pf *PathFinder) Succs(pc int, buf []int) []int { return pf.g.Succs(pc, buf) }
-
-// WitnessCell finds a shortest path from the extent start to target
-// arriving with the simulated cell in state want. trans advances the
-// cell state across the instruction at pc.
-func (pf *PathFinder) WitnessCell(target int, init, want uint8, trans func(pc int, k uint8) uint8) []int {
-	return pf.g.CellPath(target, init, want, NumCellStates, trans)
-}
-
-// WitnessPath finds any shortest path from the extent start to target.
-func (pf *PathFinder) WitnessPath(target int) []int { return pf.g.WitnessPath(target) }
-
-// PathFrom finds a shortest path beginning at from and ending at the
-// first instruction satisfying stop. Nodes for which avoid returns true
-// are not traversed (avoid may be nil); the stop node itself is still
-// tested before its avoid status matters. It returns nil when no such
-// path exists.
-func (pf *PathFinder) PathFrom(from int, stop func(pc int) bool, avoid func(pc int) bool) []int {
-	return pf.g.PathFrom(from, stop, avoid)
-}
 
 // witnessReg finds a path on which register r arrives at pc in the
 // given abstract state (aUndef or aClob).
@@ -97,7 +28,7 @@ func (pv *procVerifier) witnessReg(pc, r int, want absKind) []int {
 	if want == aClob {
 		goal = cClob
 	}
-	return pv.pf.WitnessCell(pc, init, goal, func(at int, k uint8) uint8 {
+	return pv.g.CellPath(pc, init, goal, nCellStates, func(at int, k uint8) uint8 {
 		e := pv.eff[at-pv.start]
 		if e.Defs.Has(r) {
 			return cDef
@@ -136,7 +67,7 @@ func (pv *procVerifier) witnessSlot(pc, sl int) []int {
 	if sl < pv.stackParams {
 		init = cDef
 	}
-	return pv.pf.WitnessCell(pc, init, cUndef, func(at int, k uint8) uint8 {
+	return pv.g.CellPath(pc, init, cUndef, nCellStates, func(at int, k uint8) uint8 {
 		for _, w := range pv.eff[at-pv.start].WriteSlots {
 			if w == sl {
 				return cDef
@@ -149,7 +80,7 @@ func (pv *procVerifier) witnessSlot(pc, sl int) []int {
 // witnessOut finds a path on which outgoing slot o arrives at pc
 // unwritten since the last call.
 func (pv *procVerifier) witnessOut(pc, o int) []int {
-	return pv.pf.WitnessCell(pc, cUndef, cUndef, func(at int, k uint8) uint8 {
+	return pv.g.CellPath(pc, cUndef, cUndef, nCellStates, func(at int, k uint8) uint8 {
 		e := pv.eff[at-pv.start]
 		if e.IsCall {
 			return cUndef
@@ -165,5 +96,5 @@ func (pv *procVerifier) witnessOut(pc, o int) []int {
 
 // witnessPath finds any shortest path from the entry to pc.
 func (pv *procVerifier) witnessPath(target int) []int {
-	return pv.pf.WitnessPath(target)
+	return pv.g.WitnessPath(target)
 }

@@ -376,41 +376,29 @@ func (s ShuffleMethod) String() string {
 	return codegen.ShuffleMethod(s).String()
 }
 
-// ParseSaveStrategy parses "lazy", "early" or "late".
+// ParseSaveStrategy parses "lazy", "early", "late" or "simple".
 func ParseSaveStrategy(s string) (SaveStrategy, error) {
-	switch s {
-	case "lazy":
-		return SaveLazy, nil
-	case "early":
-		return SaveEarly, nil
-	case "late":
-		return SaveLate, nil
-	case "simple":
-		return SaveSimple, nil
+	v, err := codegen.ParseSaveStrategy(s)
+	if err != nil {
+		return 0, fmt.Errorf("lsr: %w", err)
 	}
-	return 0, fmt.Errorf("lsr: unknown save strategy %q (want lazy, early, late or simple)", s)
+	return SaveStrategy(v), nil
 }
 
 // ParseRestorePolicy parses "eager" or "lazy".
 func ParseRestorePolicy(s string) (RestorePolicy, error) {
-	switch s {
-	case "eager":
-		return RestoreEager, nil
-	case "lazy":
-		return RestoreLazy, nil
+	v, err := codegen.ParseRestorePolicy(s)
+	if err != nil {
+		return 0, fmt.Errorf("lsr: %w", err)
 	}
-	return 0, fmt.Errorf("lsr: unknown restore policy %q (want eager or lazy)", s)
+	return RestorePolicy(v), nil
 }
 
 // ParseShuffleMethod parses "greedy", "optimal" or "naive".
 func ParseShuffleMethod(s string) (ShuffleMethod, error) {
-	switch s {
-	case "greedy":
-		return ShuffleGreedy, nil
-	case "optimal":
-		return ShuffleOptimal, nil
-	case "naive":
-		return ShuffleNaive, nil
+	v, err := codegen.ParseShuffleMethod(s)
+	if err != nil {
+		return 0, fmt.Errorf("lsr: %w", err)
 	}
-	return 0, fmt.Errorf("lsr: unknown shuffle method %q (want greedy, optimal or naive)", s)
+	return ShuffleMethod(v), nil
 }
