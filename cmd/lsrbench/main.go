@@ -20,11 +20,6 @@
 //	                             # (gates: benchmarks clean, corpus caught)
 //	lsrbench -suite quick        # restrict tables to a fast subset
 //
-// Sustained-load SLO gate against a running lsrgate/lsrd (see
-// DESIGN.md §16; scripts/loadgen.sh stands the fleet up):
-//
-//	lsrbench -loadurl http://localhost:8376
-//
 // Wall time is measured by the repository benchmark (perfbench/) and
 // compared between paired runs on one host by scripts/perfpair.sh
 // (DESIGN.md §12).
@@ -34,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -55,10 +49,6 @@ func main() {
 		arenaSweep  = flag.Bool("arena", false, "run the arena-lifetime escape analysis over every benchmark and the seeded-violation corpus")
 		all         = flag.Bool("all", false, "run everything")
 		suite       = flag.String("suite", "full", "benchmark subset: full or quick")
-
-		loadURL      = flag.String("loadurl", "", "drive sustained load at this lsrgate/lsrd base URL, report p50/p95/p99 + throughput and gate them against the default SLO")
-		loadClients  = flag.Int("loadclients", 4, "concurrent load clients for -loadurl")
-		loadDuration = flag.Duration("loadduration", 5*time.Second, "sustained-load duration for -loadurl")
 	)
 	flag.Parse()
 
@@ -205,35 +195,10 @@ func main() {
 		})
 	}
 
-	if *loadURL != "" {
-		ran = true
-		if err := runLoad(*loadURL, *loadClients, *loadDuration); err != nil {
-			fail(err)
-		}
-	}
-
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// runLoad drives the sustained-load harness at a gate or replica and
-// gates the report against bench.DefaultSLO (see DESIGN.md §16).
-func runLoad(url string, clients int, duration time.Duration) error {
-	rep, err := bench.RunLoad(bench.LoadOptions{URL: url, Clients: clients, Duration: duration})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("load: %d requests (%d errors) in %.1fs — %.1f rps, p50 %.2fms p95 %.2fms p99 %.2fms\n",
-		rep.Requests, rep.Errors, rep.DurationSec, rep.ThroughputRPS, rep.P50Ms, rep.P95Ms, rep.P99Ms)
-	slo := bench.DefaultSLO
-	if err := bench.CheckSLO(rep, slo); err != nil {
-		return err
-	}
-	fmt.Printf("load SLO gate passed (p99<=%.0fms, >=%.0f rps, err<=%.2f%%)\n",
-		slo.P99MsMax, slo.ThroughputMin, slo.ErrorRateMax*100)
-	return nil
 }
 
 // suitePrograms selects the benchmark set.

@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -83,16 +84,22 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Bind before serving so the log names the address actually bound:
+	// with -addr 127.0.0.1:0 the kernel picks the port.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lsrd:", err)
+		os.Exit(1)
+	}
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("lsrd listening", "addr", *addr, "store", *storeDir)
-		errCh <- srv.ListenAndServe()
+		logger.Info("lsrd listening", "addr", ln.Addr().String(), "store", *storeDir)
+		errCh <- srv.Serve(ln)
 	}()
 
 	stop := make(chan os.Signal, 1)

@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -66,19 +67,26 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Bind before serving so the log names the address actually bound:
+	// with -addr 127.0.0.1:0 the kernel picks the port.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lsrgate:", err)
+		os.Exit(1)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go g.RunHealthChecks(ctx)
 
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           g.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("lsrgate listening", "addr", *addr, "backends", len(list))
-		errCh <- srv.ListenAndServe()
+		logger.Info("lsrgate listening", "addr", ln.Addr().String(), "backends", len(list))
+		errCh <- srv.Serve(ln)
 	}()
 
 	stop := make(chan os.Signal, 1)

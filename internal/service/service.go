@@ -174,22 +174,10 @@ type Service struct {
 	tenantShed    *metrics.CounterVec
 }
 
-// New creates a service. logger may be nil (logs are discarded). A
-// non-empty cfg.StoreDir opens (creating if needed) the on-disk store;
-// an unopenable directory is a hard error surfaced by NewWithError —
-// New itself logs and continues memory-only, which keeps the daemon
-// serving even on a broken disk.
-func New(cfg Config, logger *slog.Logger) *Service {
-	s, err := NewWithError(cfg, logger)
-	if err != nil {
-		// s is still a functioning memory-only service.
-		s.log.Error("store disabled", "err", err)
-	}
-	return s
-}
-
-// NewWithError is New with the store-open failure reported instead of
-// swallowed (cmd/lsrd treats it as fatal; tests assert on it).
+// NewWithError creates a service. logger may be nil (logs are
+// discarded). A non-empty cfg.StoreDir opens the on-disk store,
+// creating the directory if needed; a store that cannot be opened is
+// returned as the error, with no service.
 func NewWithError(cfg Config, logger *slog.Logger) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if logger == nil {
@@ -203,9 +191,12 @@ func NewWithError(cfg Config, logger *slog.Logger) (*Service, error) {
 		log:     logger,
 		reg:     metrics.NewRegistry(),
 	}
-	var storeErr error
 	if cfg.StoreDir != "" {
-		s.store, storeErr = store.Open(cfg.StoreDir)
+		st, err := store.Open(cfg.StoreDir)
+		if err != nil {
+			return nil, err
+		}
+		s.store = st
 	}
 	s.reqs = s.reg.NewCounterVec("lsrd_requests_total",
 		"Requests by endpoint and status code.", "endpoint", "code")
@@ -260,7 +251,7 @@ func NewWithError(cfg Config, logger *slog.Logger) (*Service, error) {
 		s.reg.NewGaugeFunc("lsrd_store_entries",
 			"Entries in the on-disk store's index.", func() int64 { return int64(s.store.Len()) })
 	}
-	return s, storeErr
+	return s, nil
 }
 
 // Cache exposes the compilation cache (tests and diagnostics).

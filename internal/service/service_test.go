@@ -22,7 +22,10 @@ import (
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
-	svc := New(cfg, nil)
+	svc, err := NewWithError(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 	return svc, ts
@@ -469,13 +472,16 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestAcquireTimeout: a request that cannot get a worker before its
 // deadline reports the timeout kind.
 func TestAcquireTimeout(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 4, RequestTimeout: 20 * time.Millisecond}, nil)
+	svc, err := NewWithError(Config{Workers: 1, QueueDepth: 4, RequestTimeout: 20 * time.Millisecond}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc.sem <- struct{}{} // occupy the worker
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err := svc.acquire(ctx)
-	if err == nil || err.Kind != KindTimeout {
-		t.Fatalf("want timeout, got %v", err)
+	aerr := svc.acquire(ctx)
+	if aerr == nil || aerr.Kind != KindTimeout {
+		t.Fatalf("want timeout, got %v", aerr)
 	}
 }
 

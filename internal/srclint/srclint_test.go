@@ -109,7 +109,8 @@ func replaceIn(t *testing.T, path, old, new string) {
 }
 
 // copyTree copies the module working tree (regular files only, .git
-// excluded) so tests can corrupt a throwaway checkout.
+// and perfbench's .bench_build cache excluded) so tests can corrupt a
+// throwaway checkout.
 func copyTree(src, dst string) error {
 	return filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -120,7 +121,7 @@ func copyTree(src, dst string) error {
 			return err
 		}
 		if d.IsDir() {
-			if d.Name() == ".git" {
+			if d.Name() == ".git" || d.Name() == ".bench_build" {
 				return filepath.SkipDir
 			}
 			return os.MkdirAll(filepath.Join(dst, rel), 0o755)

@@ -75,7 +75,4 @@ for d in examples/*/; do
     go run "./$d" > /dev/null
 done
 
-echo "== fleet sustained-load gate: 2 replicas + lsrgate, short mode =="
-sh scripts/loadgen.sh -short
-
 echo "check.sh: all gates passed"
