@@ -8,8 +8,7 @@
 // an execution fuel budget so a looping submission terminates
 // deterministically instead of wedging a worker. On SIGTERM it drains:
 // admission stops (503 + Retry-After, /healthz reports draining so the
-// gate routes away), in-flight work finishes, and the store index is
-// flushed before exit.
+// gate routes away) and in-flight work finishes before exit.
 //
 // Usage:
 //
@@ -113,8 +112,9 @@ func main() {
 	case sig := <-stop:
 		// Graceful drain: stop admitting (everything new sheds with
 		// 503/draining and /healthz flips, so the gate and LBs route
-		// away), let in-flight requests finish, flush the store index,
-		// then close the listener.
+		// away), let in-flight requests finish, then close the
+		// listener. Each store entry was written whole when its compile
+		// finished, so the store needs nothing more.
 		logger.Info("draining", "signal", sig.String())
 		svc.StartDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTO)

@@ -6,11 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/codegen"
+	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/passes"
-	"repro/internal/prelude"
 	"repro/internal/regset"
 	"repro/internal/vm"
 )
@@ -164,29 +162,24 @@ func Figure2() (string, error) {
 
 // CompileTimeStudy measures the fraction of total compilation spent in
 // register allocation and code generation (the paper reports register
-// allocation ≈ 7% of overall compile time).
+// allocation ≈ 7% of overall compile time). It sums the Phases record
+// compiler.Compile keeps, so it times the pipeline the product runs:
+// each program linked after the prelude, whose code a warm-up compile
+// emits once for the options every later compile shares.
 func CompileTimeStudy(progs []*Program, repeats int) (string, error) {
+	opts := PaperOptions()
+	if _, err := compiler.Compile("0", opts); err != nil {
+		return "", err
+	}
 	var front, back time.Duration
 	for _, p := range progs {
-		src := prelude.Source + "\n" + p.Source
 		for i := 0; i < repeats; i++ {
-			t0 := time.Now()
-			parsed, err := ast.ParseString(src)
+			c, err := compiler.Compile(p.Source, opts)
 			if err != nil {
-				return "", err
+				return "", fmt.Errorf("%s: %w", p.Name, err)
 			}
-			converted := passes.AssignConvert(parsed)
-			irProg, err := passes.ClosureConvert(converted)
-			if err != nil {
-				return "", err
-			}
-			t1 := time.Now()
-			if _, _, err := codegen.Compile(irProg, codegen.DefaultOptions()); err != nil {
-				return "", err
-			}
-			t2 := time.Now()
-			front += t1.Sub(t0)
-			back += t2.Sub(t1)
+			front += c.Phases.Front
+			back += c.Phases.Back
 		}
 	}
 	total := front + back

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/codegen"
 	"repro/internal/compiler"
@@ -23,8 +22,6 @@ type Measurement struct {
 	Program  string
 	Counters *vm.Counters
 	Stats    codegen.Stats
-	Compile  time.Duration
-	Run      time.Duration
 	Result   string
 }
 
@@ -51,23 +48,19 @@ func MeasureWithCost(p *Program, opts compiler.Options, cost vm.CostModel) (*Mea
 }
 
 func measure(p *Program, opts compiler.Options, cost vm.CostModel, mode vm.CounterMode) (*Measurement, error) {
-	start := time.Now()
 	c, err := compiler.Compile(p.Source, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	compileTime := time.Since(start)
 
 	m := vm.New(c.Program, io.Discard)
 	m.SetCostModel(cost)
 	m.Counting = mode
 	m.MaxSteps = BenchFuel
-	start = time.Now()
 	v, err := m.Run()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	runTime := time.Since(start)
 	result := prim.WriteString(v)
 	if p.Expect != "" && result != p.Expect {
 		return nil, fmt.Errorf("%s: result %s, want %s", p.Name, result, p.Expect)
@@ -76,8 +69,6 @@ func measure(p *Program, opts compiler.Options, cost vm.CostModel, mode vm.Count
 		Program:  p.Name,
 		Counters: &m.Counters,
 		Stats:    c.Stats,
-		Compile:  compileTime,
-		Run:      runTime,
 		Result:   result,
 	}, nil
 }

@@ -8,6 +8,7 @@ package compiler
 
 import (
 	"io"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
@@ -40,6 +41,20 @@ type Compiled struct {
 	Stats   codegen.Stats
 	// Lint is the optimality analyzer's report (nil unless Options.Lint).
 	Lint *analysis.Report
+	// Phases is where the compile's wall time went. A compilation read
+	// back from the on-disk store has none.
+	Phases Phases
+}
+
+// Phases splits a compile's wall time where conversion ends and code
+// generation begins. Verification and the lint are in neither.
+type Phases struct {
+	// Front is reading, expansion, and assignment and closure
+	// conversion.
+	Front time.Duration
+	// Back is register allocation and instruction emission, including
+	// the prelude's on the first compile under an options key.
+	Back time.Duration
 }
 
 // Compile compiles source text. A program is linked after the
@@ -50,23 +65,26 @@ type Compiled struct {
 // program's checks cover only its own procedures and main, and reuse
 // the prelude's verdicts, made once per options key.
 func Compile(src string, opts Options) (*Compiled, error) {
+	start := time.Now()
 	prog, err := parse(src, opts.NoPrelude)
 	if err != nil {
 		return nil, err
 	}
 	var (
-		code  *vm.Program
-		stats codegen.Stats
-		e     *prefixEntry
+		code      *vm.Program
+		stats     codegen.Stats
+		e         *prefixEntry
+		converted time.Time
 	)
 	if opts.NoPrelude {
-		code, stats, err = compileWhole(prog, opts.Options)
+		code, stats, err = compileWhole(prog, opts.Options, &converted)
 	} else {
-		code, stats, e, err = link(prog, opts.Options)
+		code, stats, e, err = link(prog, opts.Options, &converted)
 	}
 	if err != nil {
 		return nil, err
 	}
+	phases := Phases{Front: converted.Sub(start), Back: time.Since(converted)}
 	var pc *preludeChecks
 	if e != nil && (opts.Verify || opts.Lint) {
 		pc = e.prelude()
@@ -75,7 +93,7 @@ func Compile(src string, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{Program: code, Stats: stats, Lint: lint}, nil
+	return &Compiled{Program: code, Stats: stats, Lint: lint, Phases: phases}, nil
 }
 
 // check runs the post-passes opts turns on over code. pc holds the
@@ -118,12 +136,14 @@ func parse(src string, noPrelude bool) (*ast.Program, error) {
 	return ast.ParseProgramAfter(pl.ast, forms)
 }
 
-// compileWhole compiles prog, prelude and all, from its AST.
-func compileWhole(prog *ast.Program, opts codegen.Options) (*vm.Program, codegen.Stats, error) {
+// compileWhole compiles prog, prelude and all, from its AST. It sets
+// *converted to the time conversion ended and code generation began.
+func compileWhole(prog *ast.Program, opts codegen.Options, converted *time.Time) (*vm.Program, codegen.Stats, error) {
 	irProg, err := passes.ClosureConvert(passes.AssignConvert(prog))
 	if err != nil {
 		return nil, codegen.Stats{}, err
 	}
+	*converted = time.Now()
 	return codegen.Compile(irProg, opts)
 }
 

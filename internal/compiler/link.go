@@ -30,6 +30,7 @@ package compiler
 import (
 	"container/list"
 	"sync"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
@@ -75,21 +76,23 @@ var loadPrelude = sync.OnceValues(func() (*preludeUnit, error) {
 // link compiles prog, parsed after the prelude, by linking its own
 // definitions and body after the prelude's precompiled code, or whole
 // when the link test fails. It returns the prefix entry the program
-// was linked after, nil when it was compiled whole.
-func link(prog *ast.Program, opts codegen.Options) (*vm.Program, codegen.Stats, *prefixEntry, error) {
+// was linked after, nil when it was compiled whole, and sets
+// *converted as compileWhole does.
+func link(prog *ast.Program, opts codegen.Options, converted *time.Time) (*vm.Program, codegen.Stats, *prefixEntry, error) {
 	pl, err := loadPrelude()
 	if err != nil {
 		return nil, codegen.Stats{}, nil, err
 	}
 	user := &ast.Program{Defs: prog.Defs[len(pl.ast.Defs):], Body: prog.Body, NumVars: prog.NumVars}
 	if !pl.lib.Links(user) {
-		code, stats, err := compileWhole(prog, opts)
+		code, stats, err := compileWhole(prog, opts, converted)
 		return code, stats, nil, err
 	}
 	irProg, err := pl.lib.Link(passes.AssignConvert(user))
 	if err != nil {
 		return nil, codegen.Stats{}, nil, err
 	}
+	*converted = time.Now()
 	e, err := prefixes.get(opts)
 	if err != nil {
 		return nil, codegen.Stats{}, nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/codegen"
@@ -45,7 +46,8 @@ func compileWholeChecked(src string, opts Options) (*vm.Program, codegen.Stats, 
 	if err != nil {
 		return nil, codegen.Stats{}, err
 	}
-	code, stats, err := compileWhole(prog, opts.Options)
+	var converted time.Time
+	code, stats, err := compileWhole(prog, opts.Options, &converted)
 	if err != nil {
 		return nil, codegen.Stats{}, err
 	}
@@ -175,7 +177,8 @@ func TestWholeProgramPathsCheckWhole(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, e, err := link(prog, DefaultOptions().Options)
+		var converted time.Time
+		_, _, e, err := link(prog, DefaultOptions().Options, &converted)
 		if err != nil {
 			t.Fatal(err)
 		}

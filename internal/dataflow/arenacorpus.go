@@ -8,12 +8,12 @@ import (
 
 // Seeded-violation corpus for the arena-lifetime analysis. Each entry
 // is a hand-built program that breaks exactly one arena rule; the gate
-// (TestArenaCorpus, bench.ArenaSweep, scripts/check.sh) requires the
-// analysis to report every expected kind on every entry — a mutation
-// test for the analysis itself, so a regression that silently blinds a
-// rule fails loudly instead of letting the emitter drift. The programs
-// are analyzed, never run: several would corrupt shared Program state
-// if executed, which is the point.
+// (TestArenaCorpus, and bench.ArenaSweep through TestArenaSweep)
+// requires the analysis to report every expected kind on every entry —
+// a mutation test for the analysis itself, so a regression that
+// silently blinds a rule fails loudly instead of letting the emitter
+// drift. The programs are analyzed, never run: several would corrupt
+// shared Program state if executed, which is the point.
 
 // ArenaCase is one seeded violation.
 type ArenaCase struct {

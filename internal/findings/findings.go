@@ -6,7 +6,8 @@
 // which runs over the repository's own Go source. All report the same
 // shape — a kind plus the location the finding anchors to
 // (pc/register/slot for VM-code passes, file/line for source passes) —
-// so tooling (lsrc -json, lsrvet -json, CI gates) consumes one format.
+// so tooling (lsrc -json, lsrd's /v1/verify and /v1/lint) consumes one
+// format.
 package findings
 
 import (

@@ -49,8 +49,8 @@ func goldenReport() Report {
 // TestReportGoldenRoundTrip pins the wire format: the envelope must
 // marshal to the committed golden bytes, and unmarshal → marshal must
 // reproduce them byte for byte (no field is dropped, renamed, or
-// reordered by a round trip). lsrd's /v1 endpoints and the check.sh
-// JSON gates all assume this stability.
+// reordered by a round trip). lsrd's /v1 endpoints and lsrc -json
+// assume this stability.
 func TestReportGoldenRoundTrip(t *testing.T) {
 	var direct bytes.Buffer
 	if err := WriteJSON(&direct, goldenReport()); err != nil {

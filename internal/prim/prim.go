@@ -158,132 +158,110 @@ func Truthy(v Value) bool {
 }
 
 // WriteString renders a value in external (write) notation.
-func WriteString(v Value) string {
-	if v.p == nil {
-		switch v.w & tagMask {
-		case tagFixnum:
-			return strconv.FormatInt(int64(v.w)>>3, 10)
-		case tagBool:
-			if v.w>>3 != 0 {
-				return "#t"
-			}
-			return "#f"
-		case tagChar:
-			return sexp.Char(int64(v.w) >> 3).String()
-		case tagEmpty:
-			return "()"
-		case tagRet:
-			pc, fp, _ := v.Ret()
-			return fmt.Sprintf("#<retaddr %d %d>", pc, fp)
-		default: // tagNone: the "no value" sentinel
-			return "#<void>"
-		}
-	}
-	if v.p == floToken {
-		return sexp.Flonum(math.Float64frombits(v.w)).String()
-	}
-	switch t := v.p.(type) {
-	case sexp.Symbol:
-		return string(t)
-	case sexp.Str:
-		return strconv.Quote(string(t))
-	case *fixBox:
-		return strconv.FormatInt(int64(*t), 10)
-	case *Pair:
-		var b strings.Builder
-		b.WriteByte('(')
-		writeTail(&b, t)
-		b.WriteByte(')')
-		return b.String()
-	case *Vector:
-		var b strings.Builder
-		b.WriteString("#(")
-		for i, it := range t.Items {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(WriteString(it))
-		}
-		b.WriteByte(')')
-		return b.String()
-	case *Box:
-		return "#&" + WriteString(t.V)
-	case Procedure:
-		return "#<procedure>"
-	default:
-		return fmt.Sprintf("#<%T %v>", v.p, v.p)
-	}
-}
-
-func writeTail(b *strings.Builder, p *Pair) {
-	b.WriteString(WriteString(p.Car))
-	for {
-		cdr := p.Cdr
-		if cdr.IsEmpty() {
-			return
-		}
-		if next, ok := cdr.Pair(); ok {
-			b.WriteByte(' ')
-			b.WriteString(WriteString(next.Car))
-			p = next
-			continue
-		}
-		b.WriteString(" . ")
-		b.WriteString(WriteString(cdr))
-		return
-	}
-}
+func WriteString(v Value) string { return render(v, false) }
 
 // DisplayString renders a value in display notation (strings unquoted,
 // characters raw).
-func DisplayString(v Value) string {
+func DisplayString(v Value) string { return render(v, true) }
+
+// render is the one printer behind WriteString and DisplayString. An
+// atom's text is returned as it is made, with no builder to copy it
+// into; a pair, vector or box is written into one builder.
+func render(v Value, display bool) string {
+	if s, ok := atom(v, display); ok {
+		return s
+	}
+	var b strings.Builder
+	writeValue(&b, v, display)
+	return b.String()
+}
+
+// atom is v's text when v is not a pair, a vector or a box, and ok is
+// false when it is one.
+func atom(v Value, display bool) (s string, ok bool) {
 	if v.p == nil {
-		if v.w&tagMask == tagChar {
-			return string(rune(int64(v.w) >> 3))
+		switch v.w & tagMask {
+		case tagFixnum:
+			return strconv.FormatInt(int64(v.w)>>3, 10), true
+		case tagBool:
+			if v.w>>3 != 0 {
+				return "#t", true
+			}
+			return "#f", true
+		case tagChar:
+			if display {
+				return string(rune(int64(v.w) >> 3)), true
+			}
+			return sexp.Char(int64(v.w) >> 3).String(), true
+		case tagEmpty:
+			return "()", true
+		case tagRet:
+			pc, fp, _ := v.Ret()
+			return fmt.Sprintf("#<retaddr %d %d>", pc, fp), true
+		default: // tagNone: the "no value" sentinel
+			return "#<void>", true
 		}
-		return WriteString(v)
+	}
+	if v.p == floToken {
+		return sexp.Flonum(math.Float64frombits(v.w)).String(), true
 	}
 	switch t := v.p.(type) {
+	case sexp.Symbol:
+		return string(t), true
 	case sexp.Str:
-		return string(t)
+		if display {
+			return string(t), true
+		}
+		return strconv.Quote(string(t)), true
+	case *fixBox:
+		return strconv.FormatInt(int64(*t), 10), true
+	case *Pair, *Vector, *Box:
+		return "", false
+	case Procedure:
+		return "#<procedure>", true
+	default:
+		return fmt.Sprintf("#<%T %v>", v.p, v.p), true
+	}
+}
+
+// writeValue appends v to b in write notation, or in display notation
+// when display is set. Display reaches into pairs and vectors but not
+// boxes, whose contents are always written. Every level appends to the
+// one builder, so printing is linear in the output's size.
+func writeValue(b *strings.Builder, v Value, display bool) {
+	switch t := v.p.(type) {
 	case *Pair:
-		var b strings.Builder
 		b.WriteByte('(')
-		displayTail(&b, t)
+		for {
+			writeValue(b, t.Car, display)
+			if t.Cdr.IsEmpty() {
+				break
+			}
+			next, ok := t.Cdr.Pair()
+			if !ok {
+				b.WriteString(" . ")
+				writeValue(b, t.Cdr, display)
+				break
+			}
+			b.WriteByte(' ')
+			t = next
+		}
 		b.WriteByte(')')
-		return b.String()
 	case *Vector:
-		var b strings.Builder
 		b.WriteString("#(")
 		for i, it := range t.Items {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			b.WriteString(DisplayString(it))
+			writeValue(b, it, display)
 		}
 		b.WriteByte(')')
-		return b.String()
+	case *Box:
+		b.WriteString("#&")
+		writeValue(b, t.V, false)
 	default:
-		return WriteString(v)
-	}
-}
-
-func displayTail(b *strings.Builder, p *Pair) {
-	b.WriteString(DisplayString(p.Car))
-	for {
-		cdr := p.Cdr
-		if cdr.IsEmpty() {
-			return
-		}
-		if next, ok := cdr.Pair(); ok {
-			b.WriteByte(' ')
-			b.WriteString(DisplayString(next.Car))
-			p = next
-			continue
-		}
-		b.WriteString(" . ")
-		b.WriteString(DisplayString(cdr))
-		return
+		s, _ := atom(v, display)
+		b.WriteString(s)
 	}
 }
 

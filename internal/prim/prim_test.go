@@ -1,6 +1,8 @@
 package prim
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -176,6 +178,72 @@ func TestWriteDisplay(t *testing.T) {
 	}
 	if got := WriteString(BoxV(&Box{V: FixV(1)})); got != "#&1" {
 		t.Errorf("box = %q", got)
+	}
+}
+
+// TestPrinters pins write and display output for every value kind, then
+// requires printing to allocate linearly in nesting depth: a printer
+// that builds each level's string and copies it into its parent's is
+// quadratic.
+func TestPrinters(t *testing.T) {
+	ret, _ := MakeRet(3, 4)
+	list := PairV(&Pair{Car: StrV("a"), Cdr: PairV(&Pair{Car: CharV('b'), Cdr: Empty})})
+	for _, c := range []struct {
+		v              Value
+		write, display string
+	}{
+		{FixV(-42), "-42", "-42"},
+		{FixV(FixMax + 1), "1152921504606846976", "1152921504606846976"},
+		{FloV(2.5), "2.5", "2.5"},
+		{FloV(3), "3.", "3."},
+		{True, "#t", "#t"},
+		{False, "#f", "#f"},
+		{CharV('b'), `#\b`, "b"},
+		{CharV(' '), `#\space`, " "},
+		{Empty, "()", "()"},
+		{ret, "#<retaddr 3 4>", "#<retaddr 3 4>"},
+		{Value{}, "#<void>", "#<void>"},
+		{SymV("sym"), "sym", "sym"},
+		{StrV(`a"b`), `"a\"b"`, `a"b`},
+		{list, `("a" #\b)`, "(a b)"},
+		{PairV(&Pair{Car: SymV("x"), Cdr: CharV('y')}), `(x . #\y)`, "(x . y)"},
+		{VecV(&Vector{Items: []Value{StrV("s"), list}}), `#("s" ("a" #\b))`, "#(s (a b))"},
+		{VecV(&Vector{}), "#()", "#()"},
+		// Display writes a box's contents.
+		{BoxV(&Box{V: StrV("a")}), `#&"a"`, `#&"a"`},
+		{ObjV(&Closure{}), "#<procedure>", "#<procedure>"},
+		{ObjV(7), "#<int 7>", "#<int 7>"},
+	} {
+		if got := WriteString(c.v); got != c.write {
+			t.Errorf("WriteString = %q, want %q", got, c.write)
+		}
+		if got := DisplayString(c.v); got != c.display {
+			t.Errorf("DisplayString = %q, want %q", got, c.display)
+		}
+	}
+
+	printed := func(depth int) uint64 {
+		v := Empty
+		for i := 0; i < depth; i++ {
+			v = PairV(&Pair{Car: v, Cdr: Empty})
+		}
+		least := uint64(math.MaxUint64)
+		for trial := 0; trial < 3; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			WriteString(v)
+			DisplayString(v)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	const n = 4000
+	small, large := printed(n), printed(4*n)
+	t.Logf("depth %d: %d bytes; depth %d: %d bytes (%.1fx)", n, small, 4*n, large, float64(large)/float64(small))
+	if large > 6*small {
+		t.Errorf("printing depth %d allocated %.1fx depth %d's bytes; want at most 6x",
+			4*n, float64(large)/float64(small), n)
 	}
 }
 

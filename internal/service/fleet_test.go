@@ -50,7 +50,7 @@ func postHeader(t *testing.T, url, path, body, hname, hval string) (*http.Respon
 // hit and zero compiles).
 func TestStoreSharedAcrossReplicas(t *testing.T) {
 	dir := t.TempDir()
-	svc1, ts1 := newTestServer(t, Config{StoreDir: dir})
+	_, ts1 := newTestServer(t, Config{StoreDir: dir})
 
 	code, body := post(t, ts1, "/v1/compile", CompileRequest{Source: addOneSrc})
 	if code != http.StatusOK {
@@ -62,9 +62,6 @@ func TestStoreSharedAcrossReplicas(t *testing.T) {
 	}
 	if first.Cached {
 		t.Fatal("replica 1's first compile claims cached")
-	}
-	if err := svc1.FlushStore(); err != nil {
-		t.Fatal(err)
 	}
 
 	// Cold start: fresh service, empty in-memory LRU, same store dir.
@@ -289,10 +286,9 @@ func TestTenantFuelClamp(t *testing.T) {
 
 // TestDrain: StartDrain stops admission (503 + Retry-After, taxonomy
 // kind "draining"), flips /healthz so the gate routes away, raises the
-// lsrd_draining gauge, and DrainWait completes and flushes the store.
+// lsrd_draining gauge, and DrainWait completes.
 func TestDrain(t *testing.T) {
-	dir := t.TempDir()
-	svc, ts := newTestServer(t, Config{StoreDir: dir})
+	svc, ts := newTestServer(t, Config{StoreDir: t.TempDir()})
 
 	code, body := post(t, ts, "/v1/compile", CompileRequest{Source: addOneSrc})
 	if code != http.StatusOK {
@@ -332,9 +328,6 @@ func TestDrain(t *testing.T) {
 	defer cancel()
 	if err := svc.DrainWait(ctx); err != nil {
 		t.Fatalf("DrainWait: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
-		t.Errorf("store index not flushed on drain: %v", err)
 	}
 }
 

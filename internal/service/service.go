@@ -42,6 +42,18 @@ import (
 	"repro/internal/vm"
 )
 
+// Request limits and the tenant header, the same on every replica.
+const (
+	// maxSourceBytes bounds accepted request bodies.
+	maxSourceBytes = 1 << 20
+	// maxOutputBytes truncates a run's captured display output.
+	maxOutputBytes = 1 << 20
+	// tenantHeader names the header carrying the tenant identity for
+	// per-tenant quotas. Requests without it share the anonymous pool
+	// and are only subject to the global admission limits.
+	tenantHeader = "X-Lsr-Tenant"
+)
+
 // Config tunes the service.
 type Config struct {
 	// Workers bounds concurrently executing requests (default
@@ -59,10 +71,6 @@ type Config struct {
 	MaxFuel     int64
 	// CacheEntries sizes the compilation cache (LRU).
 	CacheEntries int
-	// MaxSourceBytes bounds accepted request bodies.
-	MaxSourceBytes int64
-	// MaxOutputBytes truncates a run's captured display output.
-	MaxOutputBytes int64
 	// StoreDir roots the on-disk compilation store (the durable tier
 	// under the LRU, shared by restarts and replicas). Empty disables
 	// the disk tier; the service is then memory-only as before.
@@ -70,11 +78,6 @@ type Config struct {
 	// MaxBatchItems bounds the number of units one /v1/batch request
 	// may carry.
 	MaxBatchItems int
-	// TenantHeader names the header carrying the tenant identity for
-	// per-tenant quotas (default X-Lsr-Tenant). Requests without the
-	// header share the anonymous pool and are only subject to the
-	// global admission limits.
-	TenantHeader string
 	// TenantInflight caps how many requests one tenant may have
 	// admitted at once (0 disables per-tenant admission quotas).
 	TenantInflight int
@@ -92,8 +95,6 @@ func DefaultConfig() Config {
 		DefaultFuel:    50_000_000,
 		MaxFuel:        2_000_000_000,
 		CacheEntries:   256,
-		MaxSourceBytes: 1 << 20,
-		MaxOutputBytes: 1 << 20,
 	}
 }
 
@@ -117,17 +118,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = d.CacheEntries
 	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = d.MaxSourceBytes
-	}
-	if c.MaxOutputBytes <= 0 {
-		c.MaxOutputBytes = d.MaxOutputBytes
-	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 64
-	}
-	if c.TenantHeader == "" {
-		c.TenantHeader = "X-Lsr-Tenant"
 	}
 	return c
 }
@@ -248,17 +240,12 @@ func NewWithError(cfg Config, logger *slog.Logger) (*Service, error) {
 		s.reg.NewCounterFunc("lsrd_store_put_errors_total",
 			"Failed store writes (service continued from memory).",
 			func() int64 { return s.store.Stats().PutErrors })
-		s.reg.NewGaugeFunc("lsrd_store_entries",
-			"Entries in the on-disk store's index.", func() int64 { return int64(s.store.Len()) })
 	}
 	return s, nil
 }
 
 // Cache exposes the compilation cache (tests and diagnostics).
 func (s *Service) Cache() *Cache { return s.cache }
-
-// Store exposes the on-disk tier (nil when disabled).
-func (s *Service) Store() *store.Store { return s.store }
 
 // StartDrain moves the service into draining: every subsequent request
 // is rejected with 503/draining (Retry-After set) and /healthz reports
@@ -275,8 +262,9 @@ func (s *Service) StartDrain() {
 func (s *Service) Draining() bool { return s.draining.Load() }
 
 // DrainWait blocks until every admitted request has finished (or ctx
-// expires), then flushes the on-disk store index. Call after
-// StartDrain; the HTTP server's own Shutdown handles the connections.
+// expires). Call after StartDrain; the HTTP server's own Shutdown
+// handles the connections. Every store entry is already on disk when
+// its Put returns, so there is nothing to write on the way out.
 func (s *Service) DrainWait(ctx context.Context) error {
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
@@ -287,17 +275,15 @@ func (s *Service) DrainWait(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
-	return s.FlushStore()
+	return nil
 }
 
-// FlushStore writes the on-disk store's index (no-op when the store is
-// disabled).
-func (s *Service) FlushStore() error {
-	if s.store == nil {
-		return nil
-	}
-	return s.store.Flush()
-}
+// FlushStore does nothing and returns nil: the store keeps no state
+// beyond its entry files. It stays only because the benchmark's
+// serve-mix set-up (perfbench/serve.go) calls it, and the benchmark's
+// files change only with a benchmark change. ROADMAP item 10's
+// benchmark change deletes it together with that call.
+func (s *Service) FlushStore() error { return nil }
 
 // Handler returns the HTTP handler serving every endpoint.
 func (s *Service) Handler() http.Handler {
@@ -349,19 +335,19 @@ func (s *Service) endpoint(name string, h handlerFunc) http.HandlerFunc {
 			return
 		}
 
-		body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSourceBytes+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, maxSourceBytes+1))
 		if err != nil {
 			status = http.StatusBadRequest
 			writeError(w, status, errOf(KindBadRequest, "reading body: %v", err))
 			return
 		}
-		if int64(len(body)) > s.cfg.MaxSourceBytes {
+		if len(body) > maxSourceBytes {
 			status = http.StatusBadRequest
-			writeError(w, status, errOf(KindBadRequest, "body exceeds %d bytes", s.cfg.MaxSourceBytes))
+			writeError(w, status, errOf(KindBadRequest, "body exceeds %d bytes", maxSourceBytes))
 			return
 		}
 
-		tenant := r.Header.Get(s.cfg.TenantHeader)
+		tenant := r.Header.Get(tenantHeader)
 		if tenant != "" {
 			s.tenantReqs.With(tenant).Inc()
 		}
@@ -533,8 +519,7 @@ func (s *Service) handleRun(ctx context.Context, body []byte) (any, int, *Error)
 	if t := tenantFrom(ctx); t != "" && s.cfg.TenantMaxFuel > 0 && fuel > s.cfg.TenantMaxFuel {
 		fuel = s.cfg.TenantMaxFuel
 	}
-	var out limitedBuffer
-	out.limit = int(s.cfg.MaxOutputBytes)
+	out := limitedBuffer{limit: maxOutputBytes}
 	m := vm.New(c.Program, &out)
 	m.Counting = mode
 	m.MaxSteps = fuel

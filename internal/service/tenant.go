@@ -6,9 +6,9 @@ import (
 )
 
 // tenantTable tracks per-tenant admitted-request counts for the
-// admission quota. Tenants are identified by the configured header
-// value; the empty tenant (no header) is exempt — it shares only the
-// global pool. The table grows one small entry per distinct tenant
+// admission quota. Tenants are identified by the tenantHeader value;
+// the empty tenant (no header) is exempt — it shares only the global
+// pool. The table grows one small entry per distinct tenant
 // string and is never pruned; tenant identities are expected to be a
 // bounded operator-controlled set, not attacker-supplied cardinality
 // (the same assumption the per-tenant metric labels make).

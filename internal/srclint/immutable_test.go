@@ -210,7 +210,7 @@ func fine(o *Other) {
 }
 
 // TestImmutabilityGolden pins the exact findings JSON the corpus
-// produces, so the report shape consumed by CI is itself under test.
+// produces, so the report shape is itself under test.
 func TestImmutabilityGolden(t *testing.T) {
 	fs := checkImmutSrc(t, immutSrc, immutCfg())
 	res := &Result{Findings: fs}

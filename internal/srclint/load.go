@@ -14,15 +14,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // Loader memoizes the expensive front half of the suite: one
 // `go list -deps -export` walk plus one type-check of the whole module,
 // shared by every analyzer that needs resolved syntax instead of being
-// re-run per analyzer. It also times the pass so the gate can report
-// where lsrvet time goes (see Run's timing line in scripts/check.sh
-// output).
+// re-run per analyzer.
 type Loader struct {
 	// Root is the module root directory.
 	Root string
@@ -30,9 +27,6 @@ type Loader struct {
 	once sync.Once
 	pkgs []*Pkg
 	err  error
-	// LoadTime is the wall time of the single list+parse+check pass
-	// (zero until Packages is first called).
-	LoadTime time.Duration
 }
 
 // NewLoader returns a loader for the module at root.
@@ -42,9 +36,7 @@ func NewLoader(root string) *Loader { return &Loader{Root: root} }
 // shared result to every caller.
 func (l *Loader) Packages() ([]*Pkg, error) {
 	l.once.Do(func() {
-		start := time.Now()
 		l.pkgs, l.err = LoadPackages(l.Root, "./...")
-		l.LoadTime = time.Since(start)
 	})
 	return l.pkgs, l.err
 }

@@ -16,28 +16,22 @@
 //     tables of the two execution engines: every opcode has a case in
 //     both, and every dispatch code has an arm in the threaded loop.
 //
-// The suite is driven by cmd/lsrvet and gated in scripts/check.sh and
-// CI. See DESIGN.md §13 for what each analyzer proves and what it
-// deliberately cannot.
+// TestRepoClean runs the suite over this module, so tier-1 `go test
+// ./...` is its gate. See DESIGN.md §13 for what each analyzer proves
+// and what it deliberately cannot.
 package srclint
 
 import (
-	"fmt"
-	"path/filepath"
 	"sort"
-	"strings"
-	"time"
 
 	"repro/internal/findings"
 )
 
-// Options selects and scopes the analyzers for one Run.
+// Options scopes the analyzers for one Run.
 type Options struct {
-	// Root is the module root directory.
+	// Root is the module root directory, as an absolute path: findings
+	// name their files relative to it.
 	Root string
-	// Analyzers selects the passes to run ("immutable", "parity");
-	// empty means both.
-	Analyzers []string
 	// VMPackage is the import path of the VM package the parity
 	// analyzer inspects.
 	VMPackage string
@@ -57,70 +51,30 @@ func DefaultOptions(root string) Options {
 }
 
 // Result is one Run's outcome: the findings (empty means the gate
-// passes) and a timing line breaking down where the run's wall time
-// went.
+// passes).
 type Result struct {
 	Findings []findings.Finding
-	// Timing is a human-readable breakdown ("load 1.2s · immutable 45ms
-	// · ..."); cmd/lsrvet logs it so scripts/check.sh shows where the
-	// gate's time goes.
-	Timing string
 }
 
-// Run executes the selected analyzers and aggregates their findings.
+// Run executes both analyzers over the module at opts.Root and
+// aggregates their findings.
 func Run(opts Options) (*Result, error) {
-	selected := map[string]bool{}
-	for _, a := range opts.Analyzers {
-		if a != "immutable" && a != "parity" {
-			return nil, fmt.Errorf("srclint: unknown analyzer %q (want immutable or parity)", a)
-		}
-		selected[a] = true
-	}
-	want := func(name string) bool { return len(selected) == 0 || selected[name] }
-
-	// Findings name files relative to the root, which filepath.Rel can
-	// only do against an absolute root: the loaded files' names are
-	// absolute.
-	root, err := filepath.Abs(opts.Root)
-	if err != nil {
-		return nil, fmt.Errorf("srclint: %v", err)
-	}
-	opts.Root = root
-
-	// Both analyzers read the same type-checked module. Load it once up
-	// front so the per-analyzer spans measure analysis, not the shared
-	// list+parse+check pass.
+	// Both analyzers read the same type-checked module, loaded once.
 	loader := NewLoader(opts.Root)
 	pkgs, err := loader.Packages()
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	spans := []string{fmt.Sprintf("load %s", loader.LoadTime.Round(time.Millisecond))}
-	span := func(name string, start time.Time) {
-		spans = append(spans, fmt.Sprintf("%s %s", name, time.Since(start).Round(time.Millisecond)))
+	res := &Result{Findings: CheckImmutability(opts.Root, pkgs, opts.Immutable)}
+	vmPkg, err := loader.Package(opts.VMPackage)
+	if err != nil {
+		return nil, err
 	}
-
-	if want("immutable") {
-		start := time.Now()
-		res.Findings = append(res.Findings, CheckImmutability(opts.Root, pkgs, opts.Immutable)...)
-		span("immutable", start)
+	fs, err := CheckParity(opts.Root, vmPkg, opts.Parity)
+	if err != nil {
+		return nil, err
 	}
-	if want("parity") {
-		start := time.Now()
-		vmPkg, err := loader.Package(opts.VMPackage)
-		if err != nil {
-			return nil, err
-		}
-		fs, err := CheckParity(opts.Root, vmPkg, opts.Parity)
-		if err != nil {
-			return nil, err
-		}
-		res.Findings = append(res.Findings, fs...)
-		span("parity", start)
-	}
-
-	res.Timing = strings.Join(spans, " · ")
+	res.Findings = append(res.Findings, fs...)
 	sortFindings(res.Findings)
 	return res, nil
 }

@@ -19,11 +19,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/compiler"
@@ -40,9 +38,6 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // all (and reads as a miss).
 var magic = [8]byte{'l', 's', 'r', 's', 't', 'o', 'r', 'e'}
 
-// IndexSchema versions index.json, the flushed snapshot of the key set.
-const IndexSchema = "lsr/store-index/v1"
-
 // Stats are the store's monotonic counters, all safe to read
 // concurrently.
 type Stats struct {
@@ -57,100 +52,22 @@ type Stats struct {
 
 // Store is an on-disk compilation store rooted at one directory. It is
 // safe for concurrent use by multiple goroutines and multiple
-// processes sharing the directory.
+// processes sharing the directory. The directory tree is its only
+// record of what it holds: Get reads an entry's file by its key.
 type Store struct {
 	dir string
 
 	hits, misses, corrupt atomic.Int64
 	puts, putErrors       atomic.Int64
-
-	// known is the in-memory index: keys believed present on disk. It
-	// is a hint, not a guarantee — Get falls through to the filesystem
-	// for unknown keys (another replica may have written them), and a
-	// known key whose file fails to load degrades to a miss.
-	mu    sync.Mutex
-	known map[Key]struct{}
 }
 
-// storeIndex is the serialized form of the key set (index.json).
-type storeIndex struct {
-	Schema  string   `json:"schema"`
-	Codec   int      `json:"codec_version"`
-	Entries []string `json:"entries"`
-}
-
-// Open creates (if needed) and opens the store rooted at dir. A flushed
-// index.json warms the key set; without one the directory tree is
-// scanned, so a crash that lost the index costs one walk, not any
-// entries.
+// Open creates (if needed) and opens the store rooted at dir. It reads
+// nothing, so it costs the same however many entries the store holds.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	s := &Store{dir: dir, known: map[Key]struct{}{}}
-	if !s.loadIndex() {
-		s.scan()
-	}
-	return s, nil
-}
-
-// Dir is the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// loadIndex reads index.json; false means absent or unusable.
-func (s *Store) loadIndex() bool {
-	data, err := os.ReadFile(filepath.Join(s.dir, "index.json"))
-	if err != nil {
-		return false
-	}
-	var idx storeIndex
-	if json.Unmarshal(data, &idx) != nil || idx.Schema != IndexSchema || idx.Codec != CodecVersion {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, h := range idx.Entries {
-		b, err := hex.DecodeString(h)
-		if err != nil || len(b) != len(Key{}) {
-			continue
-		}
-		var k Key
-		copy(k[:], b)
-		s.known[k] = struct{}{}
-	}
-	return true
-}
-
-// scan walks the shard directories collecting entry keys.
-func (s *Store) scan() {
-	shards, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sh := range shards {
-		if !sh.IsDir() || len(sh.Name()) != 2 {
-			continue
-		}
-		entries, err := os.ReadDir(filepath.Join(s.dir, sh.Name()))
-		if err != nil {
-			continue
-		}
-		for _, ent := range entries {
-			name := ent.Name()
-			if filepath.Ext(name) != ".lsrc" {
-				continue
-			}
-			b, err := hex.DecodeString(name[:len(name)-len(".lsrc")])
-			if err != nil || len(b) != len(Key{}) {
-				continue
-			}
-			var k Key
-			copy(k[:], b)
-			s.known[k] = struct{}{}
-		}
-	}
+	return &Store{dir: dir}, nil
 }
 
 // path is the entry file for key, sharded by the first hex byte so no
@@ -168,36 +85,17 @@ func (s *Store) Get(key Key) (*compiler.Compiled, bool) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		s.misses.Add(1)
-		s.forget(key)
 		return nil, false
 	}
 	c, err := decodeEntry(data)
 	if err != nil {
 		s.misses.Add(1)
 		s.corrupt.Add(1)
-		s.forget(key)
 		_ = os.Remove(s.path(key))
 		return nil, false
 	}
 	s.hits.Add(1)
-	s.remember(key)
 	return c, true
-}
-
-// Contains reports whether key is in the in-memory index (a hint; the
-// authoritative check is Get).
-func (s *Store) Contains(key Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.known[key]
-	return ok
-}
-
-// Len is the number of indexed entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.known)
 }
 
 // Put persists a compilation under key: encode, write to a temp file in
@@ -239,55 +137,6 @@ func (s *Store) Put(key Key, c *compiler.Compiled) error {
 		return fmt.Errorf("store: put: %w", err)
 	}
 	s.puts.Add(1)
-	s.remember(key)
-	return nil
-}
-
-func (s *Store) remember(key Key) {
-	s.mu.Lock()
-	s.known[key] = struct{}{}
-	s.mu.Unlock()
-}
-
-func (s *Store) forget(key Key) {
-	s.mu.Lock()
-	delete(s.known, key)
-	s.mu.Unlock()
-}
-
-// Flush writes index.json (atomically, write-then-rename) so the next
-// Open skips the directory scan. Called on graceful shutdown; a crash
-// that skips it only costs the next Open a walk.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	idx := storeIndex{Schema: IndexSchema, Codec: CodecVersion}
-	idx.Entries = make([]string, 0, len(s.known))
-	for k := range s.known {
-		idx.Entries = append(idx.Entries, k.String())
-	}
-	s.mu.Unlock()
-
-	data, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, "index-*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, "index.json")); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: flush: %w", err)
-	}
 	return nil
 }
 

@@ -137,16 +137,10 @@ func TestReplicaSharing(t *testing.T) {
 	if err := s1.Put(key, compileSrc(t, src)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !s2.Contains(key) {
-		t.Fatal("flushed index did not warm the replica's key set")
 	}
 	got, ok := s2.Get(key)
 	if !ok {
@@ -154,18 +148,6 @@ func TestReplicaSharing(t *testing.T) {
 	}
 	if v, _ := runProgram(t, got.Program); v != testSources[1].want {
 		t.Fatalf("wrong value from shared entry")
-	}
-
-	// Without the index the replica must still find entries by scan.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s3.Contains(key) {
-		t.Fatal("directory scan did not recover the key set")
 	}
 }
 
