@@ -130,9 +130,9 @@ func BenchmarkFigure2(b *testing.B) {
 	}
 }
 
-// BenchmarkShuffleOptimality regenerates the §3.1 statistics and reports
+// BenchmarkShuffleStats regenerates the §3.1 statistics and reports
 // the cyclic-call-site fraction (paper: 7%).
-func BenchmarkShuffleOptimality(b *testing.B) {
+func BenchmarkShuffleStats(b *testing.B) {
 	progs := suite(b)
 	var cyclic float64
 	for i := 0; i < b.N; i++ {

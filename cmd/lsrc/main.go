@@ -9,7 +9,7 @@
 //	echo '(display "hi")' | lsrc [flags] -
 //
 // Flags select the save strategy (-saves lazy|early|late|simple), restore
-// policy (-restores eager|lazy), shuffler (-shuffle greedy|optimal|naive),
+// policy (-restores eager|lazy), shuffler (-shuffle greedy|naive),
 // register counts (-argregs N -userregs N), the callee-save mode
 // (-calleesave N), and diagnostics (-dump, -stats, -validate, -verify,
 // -lint, -json, -interp, -bench NAME).
@@ -60,7 +60,7 @@ func main() {
 		benchName = flag.String("bench", "", "run the named benchmark from the evaluation suite")
 		saves     = flag.String("saves", "lazy", "save strategy: lazy, early, late or simple")
 		restores  = flag.String("restores", "eager", "restore policy: eager or lazy")
-		shuffle   = flag.String("shuffle", "greedy", "argument shuffler: greedy, optimal or naive")
+		shuffle   = flag.String("shuffle", "greedy", "argument shuffler: greedy or naive")
 		argRegs   = flag.Int("argregs", 6, "argument registers (c)")
 		userRegs  = flag.Int("userregs", 6, "user-variable registers (l)")
 		calleeSv  = flag.Int("calleesave", 0, "enable callee-save mode with N callee-save registers")

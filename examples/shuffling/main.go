@@ -1,7 +1,7 @@
 // Shuffling demonstrates the greedy argument-shuffling algorithm of
-// §2.3/§3.1 on the paper's own examples, then compares the greedy,
-// naive and exhaustive-optimal shufflers over random call-site
-// dependency graphs.
+// §2.3/§3.1 on the paper's own examples, then compares greedy's
+// temporaries over random call-site dependency graphs with the fewest
+// any evaluation order needs (core.OptimalSimpleTemps).
 package main
 
 import (

@@ -274,11 +274,10 @@ type ShuffleRow struct {
 	WorstExtra      int
 }
 
-// ShuffleStats compiles every benchmark with the exhaustive-optimal
-// comparison enabled and reports the §3.1 optimality statistics: the
-// fraction of cyclic call sites (paper: 7%) and how often greedy matches
-// the optimum (paper: all but 6 of 20,245 sites, at most one extra
-// temporary).
+// ShuffleStats compiles every benchmark with ComputeShuffleStats on and
+// reports the §3.1 optimality statistics: the fraction of cyclic call
+// sites (paper: 7%) and how often greedy matches the fewest temporaries
+// (paper: all but 6 of 20,245 sites, at most one extra temporary).
 func ShuffleStats(progs []*Program) ([]ShuffleRow, string, error) {
 	var rows []ShuffleRow
 	for _, p := range progs {

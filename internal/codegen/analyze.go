@@ -415,12 +415,9 @@ func (a *analyzer) walkCall(t *ir.Call, after flow) (flow, synth) {
 	}
 
 	var plan core.Plan
-	switch a.cg.opts.Shuffle {
-	case ShuffleOptimal:
-		plan = core.OptimalShuffle(sargs, freeTemps)
-	case ShuffleNaive:
+	if a.cg.opts.Shuffle == ShuffleNaive {
 		plan = core.NaiveShuffle(sargs, freeTemps)
-	default:
+	} else {
 		plan = core.GreedyShuffle(sargs, freeTemps)
 	}
 	t.ShuffleArgs = sargs

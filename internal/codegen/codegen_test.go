@@ -1,8 +1,10 @@
 package codegen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
@@ -280,6 +282,36 @@ func TestCompileStats(t *testing.T) {
 	}
 }
 
+// TestShuffleStatsWideRotation: ComputeShuffleStats stays cheap on the
+// widest call the register file allows, a self-call rotating 46
+// parameters plus a counter (ArgRegs 47). The rotation is one cycle,
+// which one temporary breaks; trying every order would take 46! steps.
+func TestShuffleStatsWideRotation(t *testing.T) {
+	var params, rotated, actuals strings.Builder
+	for i := 1; i <= 46; i++ {
+		fmt.Fprintf(&params, " p%d", i)
+		fmt.Fprintf(&rotated, " p%d", i%46+1)
+		fmt.Fprintf(&actuals, " %d", i)
+	}
+	prog := build(t, fmt.Sprintf("(define (rot n%s) (if (zero? n) p1 (rot (- n 1)%s))) (rot 3%s)",
+		params.String(), rotated.String(), actuals.String()))
+	opts := DefaultOptions()
+	opts.Config.ArgRegs = 47
+	opts.ComputeShuffleStats = true
+	start := time.Now()
+	_, stats, err := Compile(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("compile took %v, want under 1s", d)
+	}
+	if stats.CyclicCallSites != 1 || stats.ShuffleTemps != 1 || stats.OptimalTemps != stats.ShuffleTemps {
+		t.Errorf("rotation: %d cyclic sites, %d greedy temps, %d optimal temps; want 1, 1, 1",
+			stats.CyclicCallSites, stats.ShuffleTemps, stats.OptimalTemps)
+	}
+}
+
 func TestCompileRejectsBadConfig(t *testing.T) {
 	prog := build(t, "(+ 1 2)")
 	opts := DefaultOptions()
@@ -303,8 +335,11 @@ func TestStrategyStrings(t *testing.T) {
 	if RestoreLazy.String() != "lazy" || RestoreEager.String() != "eager" {
 		t.Error("restore policy strings")
 	}
-	if ShuffleOptimal.String() != "optimal" || ShuffleNaive.String() != "naive" || ShuffleGreedy.String() != "greedy" {
+	if ShuffleNaive.String() != "naive" || ShuffleGreedy.String() != "greedy" {
 		t.Error("shuffle method strings")
+	}
+	if got := ShuffleMethod(1).String(); got != "ShuffleMethod(1)" {
+		t.Errorf("the unused shuffle value prints %q", got)
 	}
 }
 
@@ -321,7 +356,7 @@ func TestParseOptionNames(t *testing.T) {
 			t.Errorf("ParseRestorePolicy(%q) = %v, %v", r, got, err)
 		}
 	}
-	for _, m := range []ShuffleMethod{ShuffleGreedy, ShuffleOptimal, ShuffleNaive} {
+	for _, m := range []ShuffleMethod{ShuffleGreedy, ShuffleNaive} {
 		if got, err := ParseShuffleMethod(m.String()); err != nil || got != m {
 			t.Errorf("ParseShuffleMethod(%q) = %v, %v", m, got, err)
 		}
@@ -329,6 +364,14 @@ func TestParseOptionNames(t *testing.T) {
 	_, err := ParseSaveStrategy("?")
 	if want := `unknown save strategy "?" (want lazy, early, late or simple)`; err == nil || err.Error() != want {
 		t.Errorf("ParseSaveStrategy(?) error = %v, want %s", err, want)
+	}
+	// The shuffle names skip the unused value 1: neither its old name
+	// nor the empty string parses.
+	for _, name := range []string{"optimal", ""} {
+		_, err = ParseShuffleMethod(name)
+		if want := fmt.Sprintf("unknown shuffle method %q (want greedy or naive)", name); err == nil || err.Error() != want {
+			t.Errorf("ParseShuffleMethod(%q) error = %v, want %s", name, err, want)
+		}
 	}
 }
 

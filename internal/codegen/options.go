@@ -45,7 +45,7 @@ const (
 var (
 	saveNames    = []string{SaveLazy: "lazy", SaveEarly: "early", SaveLate: "late", SaveSimple: "simple"}
 	restoreNames = []string{RestoreEager: "eager", RestoreLazy: "lazy"}
-	shuffleNames = []string{ShuffleGreedy: "greedy", ShuffleOptimal: "optimal", ShuffleNaive: "naive"}
+	shuffleNames = []string{ShuffleGreedy: "greedy", ShuffleNaive: "naive"}
 )
 
 func (s SaveStrategy) String() string { return optionName(saveNames, int(s), "SaveStrategy") }
@@ -81,13 +81,13 @@ type ShuffleMethod int
 
 const (
 	// ShuffleGreedy is the paper's greedy algorithm.
-	ShuffleGreedy ShuffleMethod = iota
-	// ShuffleOptimal exhaustively minimizes temporaries.
-	ShuffleOptimal
+	ShuffleGreedy ShuffleMethod = 0
 	// ShuffleNaive evaluates arguments left to right (the pre-greedy
 	// compiler of §4, whose performance "decreased after two argument
-	// registers").
-	ShuffleNaive
+	// registers"). It stays 2 because cache keys hash the number: 1 was
+	// an exhaustive-search shuffler, since deleted, whose entries an
+	// older build may have left in a shared store.
+	ShuffleNaive ShuffleMethod = 2
 )
 
 func (s ShuffleMethod) String() string { return optionName(shuffleNames, int(s), "ShuffleMethod") }
@@ -98,22 +98,28 @@ func ParseShuffleMethod(name string) (ShuffleMethod, error) {
 	return ShuffleMethod(i), err
 }
 
-// optionName is names[i], or Type(i) for a value with no name.
+// optionName is names[i], or Type(i) for a value with no name; an
+// empty entry is a value with no name.
 func optionName(names []string, i int, typ string) string {
-	if i >= 0 && i < len(names) {
+	if i >= 0 && i < len(names) && names[i] != "" {
 		return names[i]
 	}
 	return fmt.Sprintf("%s(%d)", typ, i)
 }
 
-// parseOption is the index of name in names.
+// parseOption is the index of name in names, skipping empty entries.
 func parseOption(names []string, name, what string) (int, error) {
+	var known []string
 	for i, n := range names {
+		if n == "" {
+			continue
+		}
 		if n == name {
 			return i, nil
 		}
+		known = append(known, n)
 	}
-	want := strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+	want := strings.Join(known[:len(known)-1], ", ") + " or " + known[len(known)-1]
 	return 0, fmt.Errorf("unknown %s %q (want %s)", what, name, want)
 }
 
@@ -126,9 +132,10 @@ type Options struct {
 	// PredictBranches enables the §6 static branch prediction extension:
 	// paths without calls are predicted taken.
 	PredictBranches bool
-	// ComputeShuffleStats additionally runs the exhaustive-optimal
-	// shuffler at every call site to measure the greedy heuristic's
-	// optimality (§3.1); it does not affect generated code.
+	// ComputeShuffleStats additionally computes the fewest temporaries
+	// at every call site (core.OptimalSimpleTemps) to measure the
+	// selected shuffler against the optimum (§3.1); it does not affect
+	// generated code.
 	ComputeShuffleStats bool
 	// CalleeSave enables the §2.4 callee-save discipline: variables live
 	// across calls are shadowed in callee-save registers
@@ -167,7 +174,7 @@ type Stats struct {
 	// ShuffleTemps is the total number of simple-argument temporaries
 	// the selected shuffler introduced.
 	ShuffleTemps int
-	// OptimalTemps is the exhaustive minimum (only filled when
+	// OptimalTemps is the sum of the per-site minimum (only filled when
 	// ComputeShuffleStats is set).
 	OptimalTemps int
 	// SitesOptimal / SitesSuboptimal break down greedy-vs-optimal per

@@ -156,7 +156,10 @@ var testPrograms = []struct {
 (make 4)`, "(0 1 2 3)"},
 }
 
-// allOptions enumerates the strategy matrix.
+// allOptions enumerates the strategy matrix. Only greedy and naive
+// generate code; the optimal column generates greedy's code with the
+// §3.1 optimum measured at every call site (ComputeShuffleStats), and
+// its cases also check that measurement (checkOptimum).
 func allOptions() []compilerCase {
 	var out []compilerCase
 	configs := []struct {
@@ -167,17 +170,27 @@ func allOptions() []compilerCase {
 		{"c0l0", vm.BaselineConfig()},
 		{"c2l1", vm.Config{ArgRegs: 2, UserRegs: 1, ScratchRegs: 8}},
 	}
+	shuffles := []struct {
+		name    string
+		method  codegen.ShuffleMethod
+		optimum bool
+	}{
+		{"greedy", codegen.ShuffleGreedy, false},
+		{"naive", codegen.ShuffleNaive, false},
+		{"optimal", codegen.ShuffleGreedy, true},
+	}
 	for _, cfg := range configs {
 		for _, saves := range []codegen.SaveStrategy{codegen.SaveLazy, codegen.SaveEarly, codegen.SaveLate, codegen.SaveSimple} {
 			for _, restores := range []codegen.RestorePolicy{codegen.RestoreEager, codegen.RestoreLazy} {
-				for _, shuffle := range []codegen.ShuffleMethod{codegen.ShuffleGreedy, codegen.ShuffleNaive, codegen.ShuffleOptimal} {
+				for _, shuffle := range shuffles {
 					opts := DefaultOptions()
 					opts.Config = cfg.cfg
 					opts.Saves = saves
 					opts.Restores = restores
-					opts.Shuffle = shuffle
+					opts.Shuffle = shuffle.method
+					opts.ComputeShuffleStats = shuffle.optimum
 					out = append(out, compilerCase{
-						name: fmt.Sprintf("%s/%s-saves/%s-restores/%s-shuffle", cfg.name, saves, restores, shuffle),
+						name: fmt.Sprintf("%s/%s-saves/%s-restores/%s-shuffle", cfg.name, saves, restores, shuffle.name),
 						opts: opts,
 					})
 				}
@@ -192,11 +205,50 @@ type compilerCase struct {
 	opts Options
 }
 
+// checkOptimum compiles src with the §3.1 optimum measured and checks
+// the measurement against the shuffler that generated the code: the
+// code is the same as without the measurement, every call site is
+// counted once, the optimum never exceeds the shuffler's temporaries,
+// every cyclic call site needs at least one, and the suboptimal-site
+// counts agree with the totals.
+func checkOptimum(t *testing.T, name, src string, opts Options) {
+	t.Helper()
+	measured, err := Compile(src, opts)
+	if err != nil {
+		t.Errorf("%s: %v", name, err)
+		return
+	}
+	plain := opts
+	plain.ComputeShuffleStats = false
+	unmeasured, err := Compile(src, plain)
+	if err != nil {
+		t.Errorf("%s: %v", name, err)
+		return
+	}
+	if measured.Program.Disassemble() != unmeasured.Program.Disassemble() {
+		t.Errorf("%s: measuring the optimum changed the generated code", name)
+	}
+	st := measured.Stats
+	if st.SitesOptimal+st.SitesSuboptimal != st.CallSites {
+		t.Errorf("%s: %d optimal + %d suboptimal sites, want %d call sites", name, st.SitesOptimal, st.SitesSuboptimal, st.CallSites)
+	}
+	if st.OptimalTemps > st.ShuffleTemps {
+		t.Errorf("%s: optimum %d temporaries > shuffler's %d", name, st.OptimalTemps, st.ShuffleTemps)
+	}
+	if st.OptimalTemps < st.CyclicCallSites {
+		t.Errorf("%s: optimum %d temporaries < %d cyclic call sites", name, st.OptimalTemps, st.CyclicCallSites)
+	}
+	if (st.SitesSuboptimal == 0) != (st.OptimalTemps == st.ShuffleTemps) || (st.SitesSuboptimal == 0) != (st.ExtraTempsWorst == 0) {
+		t.Errorf("%s: %d suboptimal sites, worst excess %d, but optimum %d against %d temporaries", name, st.SitesSuboptimal, st.ExtraTempsWorst, st.OptimalTemps, st.ShuffleTemps)
+	}
+}
+
 // TestDifferentialAllStrategies is the central correctness theorem of
 // the reproduction: for every program and every (register count, save
 // strategy, restore policy, shuffler) combination, compiled execution —
 // with poisoned registers at call boundaries — matches both the expected
-// value and the reference interpreter.
+// value and the reference interpreter. The optimal-shuffle cases also
+// check the §3.1 optimum measured on each program.
 func TestDifferentialAllStrategies(t *testing.T) {
 	for _, p := range testPrograms {
 		// Oracle first.
@@ -212,6 +264,9 @@ func TestDifferentialAllStrategies(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			for _, p := range testPrograms {
+				if c.opts.ComputeShuffleStats {
+					checkOptimum(t, p.name, p.src, c.opts)
+				}
 				v, _, err := RunValidated(p.src, c.opts, nil)
 				if err != nil {
 					t.Errorf("%s: %v", p.name, err)

@@ -201,7 +201,7 @@ func fuzzConfigs() []Options {
 	return []Options{
 		mk(def, codegen.SaveLazy, codegen.RestoreEager, codegen.ShuffleGreedy, false),
 		mk(def, codegen.SaveSimple, codegen.RestoreLazy, codegen.ShuffleNaive, false),
-		mk(tiny, codegen.SaveLate, codegen.RestoreEager, codegen.ShuffleOptimal, false),
+		mk(tiny, codegen.SaveLate, codegen.RestoreEager, codegen.ShuffleNaive, false),
 		mk(base, codegen.SaveEarly, codegen.RestoreLazy, codegen.ShuffleGreedy, false),
 		mk(csCfg, codegen.SaveLazy, codegen.RestoreEager, codegen.ShuffleGreedy, true),
 		mk(csCfg, codegen.SaveLazy, codegen.RestoreLazy, codegen.ShuffleGreedy, true),

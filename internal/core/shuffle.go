@@ -65,13 +65,57 @@ type Plan struct {
 // Temps returns the total number of temporaries in the plan.
 func (p Plan) Temps() int { return p.SimpleTemps + p.ComplexTemps }
 
-// targetsOf returns the set of target registers of the given arg indices.
-func targetsOf(args []ShuffleArg, idxs []int) regset.Set {
-	var s regset.Set
-	for _, i := range idxs {
-		s = s.Add(args[i].Target)
+// dependencies builds a call site's dependency graph over its simple
+// arguments (§3.1 step 1): simple[k] is the k-th simple argument's index
+// in args, and bit j of deps[k] is set when it reads the target of
+// simple argument j. Reading its own target does not constrain an
+// argument's order (the write happens after the reads). Targets are
+// distinct registers, so there are at most 64 and a mask holds them.
+func dependencies(args []ShuffleArg) (simple []int, deps []uint64) {
+	simple = make([]int, 0, len(args))
+	for i, a := range args {
+		if !a.Complex {
+			simple = append(simple, i)
+		}
 	}
-	return s
+	deps = make([]uint64, len(simple))
+	for k, i := range simple {
+		for j, t := range simple {
+			if j != k && args[i].Reads.Has(args[t].Target) {
+				deps[k] |= 1 << j
+			}
+		}
+	}
+	return simple, deps
+}
+
+// acyclic reports whether the dependency graph restricted to the
+// arguments in set has no cycle, by §3.1 step 4's peel: an argument none
+// of whose dependencies remain can go, and a cycle is what cannot.
+func acyclic(deps []uint64, set uint64) bool {
+	for set != 0 {
+		before := set
+		for r := set; r != 0; r &= r - 1 {
+			if k := bits.TrailingZeros64(r); deps[k]&set == 0 {
+				set &^= 1 << k
+			}
+		}
+		if set == before {
+			return false
+		}
+	}
+	return true
+}
+
+// toTemp is the step evaluating argument i into a temporary: the lowest
+// register left in *free, which it takes, else a stack temporary.
+func toTemp(i int, free *regset.Set) Step {
+	if free.IsEmpty() {
+		return Step{Arg: i, Dest: DestStackTemp}
+	}
+	r := bits.TrailingZeros64(uint64(*free))
+	*free = free.Remove(r)
+	return Step{Arg: i, Dest: DestRegTemp, TempReg: r}
 }
 
 // GreedyShuffle computes an evaluation order per the paper's greedy
@@ -88,39 +132,30 @@ func targetsOf(args []ShuffleArg, idxs []int) regset.Set {
 //  5. on a cycle, greedily evaluate the argument causing the most
 //     dependencies into a temporary (a free argument register when one
 //     is available, otherwise the stack) and continue with step 4.
+//
+// Ties go to the argument written first.
 func GreedyShuffle(args []ShuffleArg, freeRegs regset.Set) Plan {
-	var plan Plan
-	var simple, complex []int
-	for i, a := range args {
-		if a.Complex {
-			complex = append(complex, i)
-		} else {
-			simple = append(simple, i)
-		}
-	}
+	plan := Plan{Steps: make([]Step, 0, len(args))}
+	simple, deps := dependencies(args)
 
-	// Step 3: pick the complex argument to evaluate directly into its
-	// register: one whose target no simple argument reads.
-	chosen := -1
-	for _, c := range complex {
-		ok := true
-		for _, s := range simple {
-			if args[s].Reads.Has(args[c].Target) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			chosen = c
-			break
-		}
+	// Step 3: the first complex argument whose target no simple
+	// argument reads is evaluated directly into its register, after the
+	// others have gone to temporaries.
+	var simpleReads regset.Set
+	for _, i := range simple {
+		simpleReads = simpleReads.Union(args[i].Reads)
 	}
-	for _, c := range complex {
-		if c == chosen {
+	chosen := -1
+	for i, a := range args {
+		if !a.Complex {
 			continue
 		}
-		plan.Steps = append(plan.Steps, Step{Arg: c, Dest: DestStackTemp})
-		plan.Moves = append(plan.Moves, c)
+		if chosen < 0 && !simpleReads.Has(a.Target) {
+			chosen = i
+			continue
+		}
+		plan.Steps = append(plan.Steps, Step{Arg: i, Dest: DestStackTemp})
+		plan.Moves = append(plan.Moves, i)
 		plan.ComplexTemps++
 	}
 	if chosen >= 0 {
@@ -128,51 +163,39 @@ func GreedyShuffle(args []ShuffleArg, freeRegs regset.Set) Plan {
 	}
 
 	// Steps 4 and 5 over the simple arguments.
-	remaining := append([]int(nil), simple...)
-	var doneLast []int // stack; popped LIFO after victims
-	freePool := freeRegs
-	for len(remaining) > 0 {
-		pick := -1
-		for k, i := range remaining {
-			deps := args[i].Reads.
-				Intersect(targetsOf(args, remaining)).
-				Remove(args[i].Target)
-			if deps.IsEmpty() {
-				pick = k
+	remaining := uint64(1)<<len(simple) - 1
+	doneLast := make([]int, 0, len(simple)) // stack; popped LIFO after victims
+	free := freeRegs
+	for remaining != 0 {
+		ready := -1
+		for r := remaining; r != 0; r &= r - 1 {
+			if k := bits.TrailingZeros64(r); deps[k]&remaining == 0 {
+				ready = k
 				break
 			}
 		}
-		if pick >= 0 {
-			doneLast = append(doneLast, remaining[pick])
-			remaining = append(remaining[:pick], remaining[pick+1:]...)
+		if ready >= 0 {
+			doneLast = append(doneLast, simple[ready])
+			remaining &^= 1 << ready
 			continue
 		}
-		// Cycle: every remaining argument reads a remaining target.
+		// Cycle: every remaining argument reads a remaining target. The
+		// victim is the one the most remaining arguments read.
 		plan.HadCycle = true
-		victim := 0
-		best := -1
-		for k, i := range remaining {
-			count := 0
-			for _, j := range remaining {
-				if j != i && args[j].Reads.Has(args[i].Target) {
-					count++
-				}
+		victim, best := 0, -1
+		for r := remaining; r != 0; r &= r - 1 {
+			v := bits.TrailingZeros64(r)
+			readers := 0
+			for q := remaining; q != 0; q &= q - 1 {
+				readers += int(deps[bits.TrailingZeros64(q)] >> v & 1)
 			}
-			if count > best {
-				best = count
-				victim = k
+			if readers > best {
+				victim, best = v, readers
 			}
 		}
-		v := remaining[victim]
-		remaining = append(remaining[:victim], remaining[victim+1:]...)
-		step := Step{Arg: v, Dest: DestStackTemp}
-		if !freePool.IsEmpty() {
-			r := bits.TrailingZeros64(uint64(freePool))
-			freePool = freePool.Remove(r)
-			step = Step{Arg: v, Dest: DestRegTemp, TempReg: r}
-		}
-		plan.Steps = append(plan.Steps, step)
-		plan.Moves = append(plan.Moves, v)
+		remaining &^= 1 << victim
+		plan.Steps = append(plan.Steps, toTemp(simple[victim], &free))
+		plan.Moves = append(plan.Moves, simple[victim])
 		plan.SimpleTemps++
 	}
 	for k := len(doneLast) - 1; k >= 0; k-- {
@@ -189,180 +212,64 @@ func GreedyShuffle(args []ShuffleArg, freeRegs regset.Set) Plan {
 // calls, so no target register or register temporary can be written
 // until every call-containing argument has finished).
 func NaiveShuffle(args []ShuffleArg, freeRegs regset.Set) Plan {
-	var plan Plan
-	freePool := freeRegs
-	var simple []int
+	plan := Plan{Steps: make([]Step, 0, len(args))}
 	for i, a := range args {
 		if a.Complex {
 			plan.Steps = append(plan.Steps, Step{Arg: i, Dest: DestStackTemp})
 			plan.Moves = append(plan.Moves, i)
 			plan.ComplexTemps++
-		} else {
-			simple = append(simple, i)
 		}
 	}
+	simple, deps := dependencies(args)
+	free := freeRegs
 	for k, i := range simple {
-		needTemp := false
-		for _, j := range simple[k+1:] {
-			if args[j].Reads.Has(args[i].Target) {
-				needTemp = true
-				break
-			}
+		var later uint64
+		for _, d := range deps[k+1:] {
+			later |= d
 		}
-		if !needTemp {
+		if later>>k&1 == 0 {
 			plan.Steps = append(plan.Steps, Step{Arg: i, Dest: DestTarget})
 			continue
 		}
-		step := Step{Arg: i, Dest: DestStackTemp}
-		if !freePool.IsEmpty() {
-			r := bits.TrailingZeros64(uint64(freePool))
-			freePool = freePool.Remove(r)
-			step = Step{Arg: i, Dest: DestRegTemp, TempReg: r}
-		}
-		plan.Steps = append(plan.Steps, step)
+		plan.Steps = append(plan.Steps, toTemp(i, &free))
 		plan.Moves = append(plan.Moves, i)
 		plan.SimpleTemps++
 	}
-	if hasSimpleCycle(args) {
-		plan.HadCycle = true
-	}
+	plan.HadCycle = !acyclic(deps, uint64(1)<<len(deps)-1)
 	return plan
 }
 
-// OptimalShuffle searches every evaluation order of the simple arguments
-// for one minimizing the number of temporaries (the problem is
-// NP-complete in general, §3.1, but argument counts are small). Complex
-// arguments are handled as in GreedyShuffle.
-func OptimalShuffle(args []ShuffleArg, freeRegs regset.Set) Plan {
-	order, temps := optimalOrder(args)
-	plan := planFromOrder(args, order, temps, freeRegs)
-	plan.SimpleTemps = len(temps)
-	return plan
-}
-
-// OptimalSimpleTemps returns the minimum number of simple-argument
-// temporaries over all evaluation orders, for comparing the greedy
-// heuristic against the optimum (§3.1: greedy is optimal at all but 6 of
-// 20,245 compiler call sites).
+// OptimalSimpleTemps returns the fewest simple-argument temporaries any
+// evaluation order needs, for comparing the greedy heuristic against the
+// optimum (§3.1: greedy is optimal at all but 6 of 20,245 compiler call
+// sites). An order needs a temporary for each argument whose target a
+// later argument reads, so the fewest is the size of the smallest set of
+// arguments whose removal leaves the dependency graph acyclic (a minimum
+// feedback vertex set; a rotation is one cycle and costs one). Finding
+// it is NP-complete (§3.1): sets are tried smallest first, so the cost
+// grows with the optimum, not with the number of orders. It is a
+// measurement only; no code generator calls it.
 func OptimalSimpleTemps(args []ShuffleArg) int {
-	_, temps := optimalOrder(args)
-	return len(temps)
+	_, deps := dependencies(args)
+	all := uint64(1)<<len(deps) - 1
+	for size := 0; ; size++ {
+		if breaksCycles(deps, all, 0, size) {
+			return size
+		}
+	}
 }
 
-// optimalOrder returns an order of the simple args (as arg indices) and
-// the set of args that must use temporaries under that order.
-func optimalOrder(args []ShuffleArg) ([]int, map[int]bool) {
-	var simple []int
-	for i, a := range args {
-		if !a.Complex {
-			simple = append(simple, i)
-		}
+// breaksCycles reports whether removing size arguments of set, none
+// below position from, leaves set acyclic.
+func breaksCycles(deps []uint64, set uint64, from, size int) bool {
+	if size == 0 {
+		return acyclic(deps, set)
 	}
-	bestTemps := map[int]bool{}
-	for _, i := range simple {
-		bestTemps[i] = true // worst case: everything through temps
-	}
-	bestOrder := append([]int(nil), simple...)
-	perm := append([]int(nil), simple...)
-	var rec func(k int)
-	found := false
-	rec = func(k int) {
-		if found && len(bestTemps) == 0 {
-			return
-		}
-		if k == len(perm) {
-			temps := tempsForOrder(args, perm)
-			if !found || len(temps) < len(bestTemps) {
-				found = true
-				bestTemps = temps
-				bestOrder = append([]int(nil), perm...)
-			}
-			return
-		}
-		for i := k; i < len(perm); i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			rec(k + 1)
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-	}
-	rec(0)
-	return bestOrder, bestTemps
-}
-
-// tempsForOrder returns which args need temporaries when simple args are
-// evaluated in the given order: arg i needs one iff a later argument
-// still reads i's target register.
-func tempsForOrder(args []ShuffleArg, order []int) map[int]bool {
-	temps := map[int]bool{}
-	for k, i := range order {
-		for _, j := range order[k+1:] {
-			if args[j].Reads.Has(args[i].Target) {
-				temps[i] = true
-				break
-			}
-		}
-	}
-	return temps
-}
-
-// planFromOrder builds a Plan that evaluates complex args to temps, then
-// the simple args in the given order with the given temp assignment.
-func planFromOrder(args []ShuffleArg, order []int, temps map[int]bool, freeRegs regset.Set) Plan {
-	var plan Plan
-	for i, a := range args {
-		if a.Complex {
-			plan.Steps = append(plan.Steps, Step{Arg: i, Dest: DestStackTemp})
-			plan.Moves = append(plan.Moves, i)
-			plan.ComplexTemps++
-		}
-	}
-	freePool := freeRegs
-	for _, i := range order {
-		if !temps[i] {
-			plan.Steps = append(plan.Steps, Step{Arg: i, Dest: DestTarget})
-			continue
-		}
-		step := Step{Arg: i, Dest: DestStackTemp}
-		if !freePool.IsEmpty() {
-			r := bits.TrailingZeros64(uint64(freePool))
-			freePool = freePool.Remove(r)
-			step = Step{Arg: i, Dest: DestRegTemp, TempReg: r}
-		}
-		plan.Steps = append(plan.Steps, step)
-		plan.Moves = append(plan.Moves, i)
-	}
-	if hasSimpleCycle(args) {
-		plan.HadCycle = true
-	}
-	return plan
-}
-
-// hasSimpleCycle reports whether the dependency graph over the simple
-// arguments contains a directed cycle (arg i → arg j when i reads j's
-// target).
-func hasSimpleCycle(args []ShuffleArg) bool {
-	var simple []int
-	for i, a := range args {
-		if !a.Complex {
-			simple = append(simple, i)
-		}
-	}
-	remaining := append([]int(nil), simple...)
-	for len(remaining) > 0 {
-		pick := -1
-		for k, i := range remaining {
-			deps := args[i].Reads.
-				Intersect(targetsOf(args, remaining)).
-				Remove(args[i].Target)
-			if deps.IsEmpty() {
-				pick = k
-				break
-			}
-		}
-		if pick < 0 {
+	for r := set >> from << from; r != 0; r &= r - 1 {
+		k := bits.TrailingZeros64(r)
+		if breaksCycles(deps, set&^(1<<k), k+1, size-1) {
 			return true
 		}
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
 	}
 	return false
 }

@@ -17,7 +17,7 @@ type OptionsRequest struct {
 	Saves string `json:"saves,omitempty"`
 	// Restores is "eager" or "lazy".
 	Restores string `json:"restores,omitempty"`
-	// Shuffle is "greedy", "optimal" or "naive".
+	// Shuffle is "greedy" or "naive".
 	Shuffle string `json:"shuffle,omitempty"`
 	// ArgRegs / UserRegs override the register counts (nil = default 6).
 	ArgRegs  *int `json:"arg_regs,omitempty"`

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codegen"
 	"repro/internal/compiler"
 )
 
@@ -146,7 +147,7 @@ func TestKeyForSensitivity(t *testing.T) {
 	mutations := []func(*compiler.Options){
 		func(o *compiler.Options) { o.Saves = 2 },
 		func(o *compiler.Options) { o.Restores = 1 },
-		func(o *compiler.Options) { o.Shuffle = 1 },
+		func(o *compiler.Options) { o.Shuffle = codegen.ShuffleNaive },
 		func(o *compiler.Options) { o.Config.ArgRegs = 2 },
 		func(o *compiler.Options) { o.Config.UserRegs = 1 },
 		func(o *compiler.Options) { o.Config.CalleeSaveRegs = 4 },
@@ -165,5 +166,35 @@ func TestKeyForSensitivity(t *testing.T) {
 			t.Errorf("mutation %d collided with %d", i, prev)
 		}
 		seen[k] = i
+	}
+}
+
+// TestKeyForPinned: a shared store outlives the build that wrote it, and
+// KeyFor hashes option numbers, so every option value's key must never
+// change. Renumbering an option enum would silently serve an older
+// build's entries under a different allocator configuration.
+func TestKeyForPinned(t *testing.T) {
+	const dflt = "d707cefd352695cb5f5350000ea8f8ef7392240bb799f25236c9d7024afe4bf9"
+	cases := []struct {
+		opts OptionsRequest
+		want string
+	}{
+		{OptionsRequest{Saves: "lazy"}, dflt},
+		{OptionsRequest{Saves: "early"}, "deebbf0b1f916201dfee5236915b3be8aaa711b0b94155f8b4c255e0558de9ff"},
+		{OptionsRequest{Saves: "late"}, "6ce83caff464c680b0f574fa44c148d7d6d82a7aa102a22bace6352f7232ccff"},
+		{OptionsRequest{Saves: "simple"}, "f10da12b93e00d8bda42c9b1464e2cf8ca40585ee2c1b37d57170b5e1569d715"},
+		{OptionsRequest{Restores: "eager"}, dflt},
+		{OptionsRequest{Restores: "lazy"}, "8fe31e69dda0d0427d29bd727037660f21f76f91973632260cf3ef8d97e2461f"},
+		{OptionsRequest{Shuffle: "greedy"}, dflt},
+		{OptionsRequest{Shuffle: "naive"}, "f2a9994ead96f16754e959852a9f930040c7544d73560a5700ccab3185e75802"},
+	}
+	for _, c := range cases {
+		k, err := RequestKey("(+ 1 2)", &c.opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.opts, err)
+		}
+		if k.String() != c.want {
+			t.Errorf("%+v: key %s, want %s", c.opts, k, c.want)
+		}
 	}
 }

@@ -137,8 +137,8 @@ func errOf(kind Kind, format string, args ...any) *Error {
 	return &Error{Kind: kind, Message: fmt.Sprintf(format, args...)}
 }
 
-// Service is the serving layer. Create with New; it is safe for
-// concurrent use.
+// Service is the serving layer. Create with NewWithError; it is safe
+// for concurrent use.
 type Service struct {
 	cfg      Config
 	cache    *Cache

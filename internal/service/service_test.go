@@ -275,6 +275,8 @@ func TestRunFuelClamped(t *testing.T) {
 
 func TestErrorTaxonomyOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	nine := 9
+	rotate9 := "(define (rot a b c d e f g h i) (rot b c d e f g h i a)) (rot 1 2 3 4 5 6 7 8 9)"
 	cases := []struct {
 		name     string
 		path     string
@@ -286,6 +288,7 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 		{"runtime error", "/v1/run", RunRequest{Source: "(car 5)"}, 422, KindRuntime},
 		{"unbound global", "/v1/run", RunRequest{Source: "(nope 1)"}, 422, KindRuntime},
 		{"bad option", "/v1/compile", CompileRequest{Source: "1", Options: &OptionsRequest{Saves: "wat"}}, 400, KindBadRequest},
+		{"removed shuffle method", "/v1/compile", CompileRequest{Source: rotate9, Options: &OptionsRequest{Shuffle: "optimal", ArgRegs: &nine}}, 400, KindBadRequest},
 		{"empty source", "/v1/run", RunRequest{}, 400, KindBadRequest},
 	}
 	for _, c := range cases {

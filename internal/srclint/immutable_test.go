@@ -213,9 +213,8 @@ func fine(o *Other) {
 // produces, so the report shape is itself under test.
 func TestImmutabilityGolden(t *testing.T) {
 	fs := checkImmutSrc(t, immutSrc, immutCfg())
-	res := &Result{Findings: fs}
 	var buf bytes.Buffer
-	if err := findings.WriteJSON(&buf, res.Report()); err != nil {
+	if err := findings.WriteJSON(&buf, findings.Report{Tool: "srclint", Findings: fs}); err != nil {
 		t.Fatal(err)
 	}
 	goldenPath := "testdata/immutable_golden.json"

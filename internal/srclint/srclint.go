@@ -79,24 +79,6 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// Report wraps the result in the shared findings envelope, with a
-// per-kind summary so tooling can aggregate without re-counting.
-func (r *Result) Report() findings.Report {
-	byKind := map[string]int{}
-	for _, f := range r.Findings {
-		byKind[f.Kind]++
-	}
-	fs := r.Findings
-	if fs == nil {
-		fs = []findings.Finding{}
-	}
-	return findings.Report{
-		Tool:     "srclint",
-		Findings: fs,
-		Summary:  map[string]any{"by_kind": byKind},
-	}
-}
-
 func sortFindings(fs []findings.Finding) {
 	sort.SliceStable(fs, func(i, j int) bool {
 		if fs[i].File != fs[j].File {

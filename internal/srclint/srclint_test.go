@@ -36,17 +36,6 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-func TestReportShape(t *testing.T) {
-	res := &Result{}
-	rep := res.Report()
-	if rep.Tool != "srclint" {
-		t.Errorf("tool = %q", rep.Tool)
-	}
-	if rep.Findings == nil {
-		t.Error("findings must serialize as [], not null")
-	}
-}
-
 // TestSeededViolations is the end-to-end smoke test: it copies the
 // repository to a temp dir, seeds one violation per analyzer, and runs
 // the full suite the way TestRepoClean does. This is the proof that the

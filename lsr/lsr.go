@@ -11,13 +11,12 @@
 //	fmt.Println(res.Counters.StackRefs())
 //
 // The Options select the save strategy (lazy/early/late), the restore
-// policy (eager/lazy), the argument shuffler (greedy/optimal/naive), the
+// policy (eager/lazy), the argument shuffler (greedy/naive), the
 // register configuration, and the §2.4 callee-save mode — every knob the
 // paper's evaluation turns.
 package lsr
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/analysis"
@@ -32,45 +31,43 @@ import (
 )
 
 // SaveStrategy selects where register saves are placed (§2.1, §4).
-type SaveStrategy int
+type SaveStrategy = codegen.SaveStrategy
 
 // Save strategies.
 const (
 	// SaveLazy saves as soon as a call is inevitable (the paper).
-	SaveLazy SaveStrategy = iota
+	SaveLazy = codegen.SaveLazy
 	// SaveEarly saves at definition points (the callee-save-style extreme).
-	SaveEarly
+	SaveEarly = codegen.SaveEarly
 	// SaveLate saves immediately before each call (the caller-save extreme).
-	SaveLate
+	SaveLate = codegen.SaveLate
 	// SaveSimple places saves with the simple one-set S[E] algorithm of
 	// §2.1.1 — sound but "too lazy" around short-circuit boolean tests
 	// (the ablation motivating the revised algorithm).
-	SaveSimple
+	SaveSimple = codegen.SaveSimple
 )
 
 // RestorePolicy selects where restores are placed (§2.2).
-type RestorePolicy int
+type RestorePolicy = codegen.RestorePolicy
 
 // Restore policies.
 const (
 	// RestoreEager restores immediately after each call everything
 	// possibly referenced before the next call (the paper).
-	RestoreEager RestorePolicy = iota
+	RestoreEager = codegen.RestoreEager
 	// RestoreLazy restores at first use and on save-region exit.
-	RestoreLazy
+	RestoreLazy = codegen.RestoreLazy
 )
 
 // ShuffleMethod selects the argument-shuffling algorithm (§2.3).
-type ShuffleMethod int
+type ShuffleMethod = codegen.ShuffleMethod
 
 // Shuffle methods.
 const (
 	// ShuffleGreedy is the paper's greedy ordering with cycle breaking.
-	ShuffleGreedy ShuffleMethod = iota
-	// ShuffleOptimal exhaustively minimizes temporaries.
-	ShuffleOptimal
+	ShuffleGreedy = codegen.ShuffleGreedy
 	// ShuffleNaive evaluates arguments left to right.
-	ShuffleNaive
+	ShuffleNaive = codegen.ShuffleNaive
 )
 
 // Config is the machine's register layout.
@@ -96,7 +93,9 @@ type Options struct {
 	// PredictBranches enables the §6 static branch prediction extension.
 	PredictBranches bool
 	// ShuffleStats additionally compares the shuffler against the
-	// exhaustive optimum at every call site (visible in Stats).
+	// fewest temporaries at every call site (visible in Stats). Finding
+	// that optimum is NP-complete (§3.1); its cost grows with the
+	// optimum, which is small on real call sites.
 	ShuffleStats bool
 	// NoPrelude omits the Scheme runtime library.
 	NoPrelude bool
@@ -133,9 +132,9 @@ func (o Options) internal() compiler.Options {
 		ScratchRegs:    8,
 		CalleeSaveRegs: o.Config.CalleeSaveRegs,
 	}
-	out.Saves = codegen.SaveStrategy(o.Saves)
-	out.Restores = codegen.RestorePolicy(o.Restores)
-	out.Shuffle = codegen.ShuffleMethod(o.Shuffle)
+	out.Saves = o.Saves
+	out.Restores = o.Restores
+	out.Shuffle = o.Shuffle
 	out.CalleeSave = o.CalleeSave
 	out.PredictBranches = o.PredictBranches
 	out.ComputeShuffleStats = o.ShuffleStats
@@ -256,12 +255,6 @@ func (p *Program) RunValidated(out io.Writer) (*Result, error) {
 	return p.run(out, DefaultCostModel(), true, 0)
 }
 
-// RunWithCost executes under an explicit cost model and step budget
-// (0 = unlimited).
-func (p *Program) RunWithCost(out io.Writer, cost CostModel, maxSteps int64) (*Result, error) {
-	return p.run(out, cost, false, maxSteps)
-}
-
 // ErrFuelExhausted is returned (wrapped) by every Run variant when the
 // program exhausts its step budget; match it with errors.Is.
 var ErrFuelExhausted = vm.ErrFuelExhausted
@@ -362,43 +355,11 @@ func BenchmarkByName(name string) (Benchmark, error) {
 	}, nil
 }
 
-// String implementations for the option enums.
-
-func (s SaveStrategy) String() string {
-	return codegen.SaveStrategy(s).String()
-}
-
-func (r RestorePolicy) String() string {
-	return codegen.RestorePolicy(r).String()
-}
-
-func (s ShuffleMethod) String() string {
-	return codegen.ShuffleMethod(s).String()
-}
-
 // ParseSaveStrategy parses "lazy", "early", "late" or "simple".
-func ParseSaveStrategy(s string) (SaveStrategy, error) {
-	v, err := codegen.ParseSaveStrategy(s)
-	if err != nil {
-		return 0, fmt.Errorf("lsr: %w", err)
-	}
-	return SaveStrategy(v), nil
-}
+func ParseSaveStrategy(s string) (SaveStrategy, error) { return codegen.ParseSaveStrategy(s) }
 
 // ParseRestorePolicy parses "eager" or "lazy".
-func ParseRestorePolicy(s string) (RestorePolicy, error) {
-	v, err := codegen.ParseRestorePolicy(s)
-	if err != nil {
-		return 0, fmt.Errorf("lsr: %w", err)
-	}
-	return RestorePolicy(v), nil
-}
+func ParseRestorePolicy(s string) (RestorePolicy, error) { return codegen.ParseRestorePolicy(s) }
 
-// ParseShuffleMethod parses "greedy", "optimal" or "naive".
-func ParseShuffleMethod(s string) (ShuffleMethod, error) {
-	v, err := codegen.ParseShuffleMethod(s)
-	if err != nil {
-		return 0, fmt.Errorf("lsr: %w", err)
-	}
-	return ShuffleMethod(v), nil
-}
+// ParseShuffleMethod parses "greedy" or "naive".
+func ParseShuffleMethod(s string) (ShuffleMethod, error) { return codegen.ParseShuffleMethod(s) }

@@ -159,7 +159,7 @@ func TestStepBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.RunWithCost(nil, DefaultCostModel(), 100000); err == nil {
+	if _, err := p.RunWithOptions(nil, RunOptions{MaxSteps: 100000}); err == nil {
 		t.Error("expected step budget error")
 	}
 }
